@@ -18,20 +18,21 @@ import sys
 from . import harness, oracle
 from .gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, sampling_radius_estimate, test_dynamic_graph
 from .models import (
-    KIND_AFFINE,
-    KIND_PA,
-    KIND_UNIFORM,
     ModelSpec,
+    affine_pref_attach,
+    pref_attach,
     read_trajectory,
     replay,
     sample_trajectory,
+    uniform_attach,
     write_trajectory,
 )
 
+# Model name -> constructor from the --m and --a flags; only affine-pa reads --a.
 _MODEL_NAMES = {
-    "pa": KIND_PA,
-    "uniform": KIND_UNIFORM,
-    "affine-pa": KIND_AFFINE,
+    "pa": lambda m, a: pref_attach(m),
+    "uniform": lambda m, a: uniform_attach(m),
+    "affine-pa": lambda m, a: affine_pref_attach(a, m),
 }
 
 
@@ -42,8 +43,7 @@ class CliError(Exception):
 def _model_from_flags(name: str, m: int, a: float) -> ModelSpec:
     if name not in _MODEL_NAMES:
         raise CliError(f"unknown model {name!r} (choose from {', '.join(_MODEL_NAMES)})")
-    kind = _MODEL_NAMES[name]
-    return ModelSpec(kind, m=m, a=a if kind == KIND_AFFINE else 0.0)
+    return _MODEL_NAMES[name](m, a)
 
 
 def _resolve_seed(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -27,14 +27,7 @@ from .gof import (
     test_dynamic_graph,
     with_fixed_radius,
 )
-from .models import (
-    KIND_PA,
-    KIND_UNIFORM,
-    ModelSpec,
-    replay,
-    sample_trajectory,
-    step_distribution,
-)
+from .models import ModelSpec, replay, sample_trajectory, step_distribution
 from .rng import TAG_EXPERIMENT, TAG_TAIL, derive_seed
 
 EXPERIMENT_SUCCESS = "success-rate"
@@ -118,19 +111,6 @@ class CalibrationResult:
     replications: int
 
 
-def _effective_test_config(cfg: ExperimentConfig) -> TestConfig:
-    if cfg.test_config.null_model == cfg.null_model:
-        return cfg.test_config
-    return TestConfig(
-        null_model=cfg.null_model,
-        D=cfg.test_config.D,
-        width_fraction=cfg.test_config.width_fraction,
-        probe_fraction=cfg.test_config.probe_fraction,
-        alpha_mode=cfg.test_config.alpha_mode,
-        seed=cfg.test_config.seed,
-    )
-
-
 def _radius_for(tc: TestConfig, n: int, seed: int) -> RadiusEstimate:
     if isinstance(tc.alpha_mode, FixedAlpha):
         return RadiusEstimate(mean=tc.alpha_mode.radius, std=0.0, replications=0, n=n)
@@ -146,7 +126,7 @@ def run_success_experiment(cfg: ExperimentConfig) -> Table:
     """
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
-    tc = _effective_test_config(cfg)
+    tc = replace(cfg.test_config, null_model=cfg.null_model)
     seed = tc.seed
     header = ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"]
     rows = []
@@ -175,7 +155,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
     """Spread of the statistic under the null model across trajectory lengths."""
     if cfg.replications < 10:
         raise ValueError("concentration needs at least 10 replications")
-    tc = _effective_test_config(cfg)
+    tc = replace(cfg.test_config, null_model=cfg.null_model)
     header = ["n", "mean_S", "std_S", "cv"] + [f"exceed_{c:g}" for c in EXCEEDANCE_LEVELS]
     rows = []
     for k, n in enumerate(cfg.n_values):
@@ -189,15 +169,6 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
         exceed = [float(np.mean(np.abs(values - mean) > c * n)) for c in EXCEEDANCE_LEVELS]
         rows.append([n, mean, std, cv] + exceed)
     return Table(header, rows)
-
-
-def _degree_probability(model: ModelSpec, degree: int, t: int) -> float:
-    """Probability a degree-`degree` vertex receives one choice at state time t."""
-    if model.kind == KIND_PA:
-        return degree / (2 * model.m * t)
-    if model.kind == KIND_UNIFORM:
-        return 1.0 / t
-    return (degree + model.a) / (2 * model.m * t + model.a * t)
 
 
 def tail_exponent_diagnostic(
@@ -234,7 +205,7 @@ def tail_exponent_diagnostic(
     counts = np.mean([np.histogram(s, bins=edges)[0] for s in spectra], axis=0)
     centers = np.sqrt(edges[:-1] * edges[1:])
     density = counts / np.diff(edges)
-    q_fit_min = _degree_probability(model, TAIL_FIT_MIN_DEGREE, n - 1)
+    q_fit_min = model.attachment_probability(TAIL_FIT_MIN_DEGREE, n - 1)
     sel = (centers >= q_fit_min) & (counts > 0)
     populated = int(np.count_nonzero(sel))
     if populated < MIN_TAIL_BINS:
@@ -302,7 +273,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> Table:
 
 
 def run_radius_scan(cfg: ExperimentConfig) -> Table:
-    tc = _effective_test_config(cfg)
+    tc = replace(cfg.test_config, null_model=cfg.null_model)
     header = ["n", "radius_mean", "radius_std", "replications"]
     rows = []
     for k, n in enumerate(cfg.n_values):
@@ -316,7 +287,7 @@ def run_radius_scan(cfg: ExperimentConfig) -> Table:
 def run_calibration_experiment(cfg: ExperimentConfig) -> Table:
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
-    tc = _effective_test_config(cfg)
+    tc = replace(cfg.test_config, null_model=cfg.null_model)
     header = ["n", "D_suggested", "radius_M0_mean", "radius_M0_std",
               "radius_M1_mean", "radius_M1_std", "cross_mean", "dn"]
     rows = []

@@ -3,11 +3,14 @@
 A model is a rule for how vertex t attaches to the existing graph. The
 graph starts as vertex 1 carrying m self-loops (degree 2m), and every
 arrival t >= 2 draws m targets among {1, ..., t-1}, independently given
-the previous snapshot. Supported mechanisms:
+the previous snapshot. Every supported mechanism is one affine rule in
+the candidate's degree,
 
-  pa         linear preferential attachment, P(v) = deg(v) / (2mt)
-  uniform    uniform attachment, P(v) = 1/t
-  affine-pa  degree plus constant shift, P(v) = (deg(v) + a) / (2mt + at)
+  P(v) = (beta * deg(v) + a) / ((2m * beta + a) * t),
+
+with (beta, a) = (1, 0) for pa (linear preferential attachment), (0, 1)
+for uniform and (1, a) for affine-pa (degree plus constant shift a).
+The normalizer holds because the total degree at time t is exactly 2mt.
 
 All three factor through the degree of the candidate vertex, change at
 most 2m vertex degrees per step, and have a power-law probability
@@ -20,6 +23,7 @@ public structures; arrays are 0-indexed internally (degrees[v-1]).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +34,9 @@ KIND_PA = "pa"
 KIND_UNIFORM = "uniform"
 KIND_AFFINE = "affine-pa"
 
-_KINDS = (KIND_PA, KIND_UNIFORM, KIND_AFFINE)
+# (beta, base shift) of the affine rule per kind. The model's own a adds to
+# the shift; it is nonzero only for affine-pa.
+_AFFINE_RULE = {KIND_PA: (1, 0.0), KIND_UNIFORM: (0, 1.0), KIND_AFFINE: (1, 0.0)}
 
 # Sum-to-one tolerance for conditional attachment distributions.
 PROB_SUM_TOL = 1e-12
@@ -42,42 +48,63 @@ class ModelSpec:
 
     m is the number of edges per arriving vertex (all mechanisms); a is
     the additive degree shift (affine-pa only). The label is cosmetic and
-    excluded from equality.
+    excluded from equality; it names the model in trajectory file headers,
+    so it must not contain whitespace.
     """
 
     kind: str
     m: int = 1
     a: float = 0.0
     label: str = field(default="", compare=False)
+    # (beta, a) of the affine rule, derived from kind and a.
+    beta: int = field(init=False, repr=False, compare=False)
+    shift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _AFFINE_RULE:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.a < 0:
-            raise ValueError("a must be nonnegative")
+        if not 0 <= self.a < math.inf:
+            raise ValueError("a must be finite and nonnegative")
         if self.kind != KIND_AFFINE and self.a != 0.0:
             raise ValueError("a is only meaningful for affine-pa")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
+        _check_label(self.label)
+        beta, base_shift = _AFFINE_RULE[self.kind]
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "shift", base_shift + self.a)
 
     def _default_label(self) -> str:
-        if self.kind == KIND_PA:
-            return f"pa(m={self.m})"
-        if self.kind == KIND_UNIFORM:
-            return f"uniform(m={self.m})"
-        return f"affine-pa(a={self.a:g},m={self.m})"
+        if self.kind == KIND_AFFINE:
+            return f"affine-pa(a={self.a:g},m={self.m})"
+        return f"{self.kind}(m={self.m})"
 
-    @property
-    def in_class_c(self) -> bool:
-        """All supported mechanisms satisfy the testable model-class conditions."""
-        return True
+    def attachment_probability(self, degrees, t: int):
+        """P(one choice of arrival t+1 picks a vertex of the given degree(s)).
+
+        The single float evaluation of the affine rule: the shift is added
+        only when nonzero and beta = 0 fills a constant, so each mechanism
+        costs no more than its own closed form and gives the same bits.
+        """
+        beta, shift = self.beta, self.shift
+        norm = float(2 * self.m * beta * t + shift * t)
+        if beta == 0:
+            return np.full(np.shape(degrees), shift / norm)
+        if shift:
+            degrees = degrees + shift
+        return degrees / norm
 
     @property
     def churn_bound(self) -> int:
         """Max vertices whose degree changes in one step (2m: m targets + arrival)."""
         return 2 * self.m
+
+
+def _check_label(label: str) -> None:
+    if any(ch.isspace() for ch in label):
+        raise ValueError(f"model label {label!r} must not contain whitespace")
 
 
 def pref_attach(m: int = 1) -> ModelSpec:
@@ -146,6 +173,7 @@ class Trajectory:
     seed: int
 
     def __post_init__(self):
+        _check_label(self.model_label)
         choices = np.ascontiguousarray(self.choices, dtype=np.int64)
         if choices.shape != (self.n - 1, self.m):
             raise ValueError(f"choices must have shape {(self.n - 1, self.m)}")
@@ -166,13 +194,7 @@ def step_distribution(model: ModelSpec, state: DegreeState) -> ProbVector:
     t = state.t
     if t < 1:
         raise ValueError("empty graph")
-    if model.kind == KIND_PA:
-        mass = state.degrees / float(2 * model.m * t)
-    elif model.kind == KIND_UNIFORM:
-        mass = np.full(t, 1.0 / t)
-    else:
-        mass = (state.degrees + model.a) / float(2 * model.m * t + model.a * t)
-    return ProbVector(t=t + 1, mass=mass)
+    return ProbVector(t=t + 1, mass=model.attachment_probability(state.degrees, t))
 
 
 def initial_state(m: int) -> DegreeState:
@@ -219,34 +241,26 @@ def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:
     m = model.m
     rng = stream(seed)
     choices = np.empty((n - 1, m), dtype=np.int64)
-
-    if model.kind == KIND_UNIFORM:
-        for t in range(2, n + 1):
-            choices[t - 2] = rng.integers(1, t, size=m)
-        return Trajectory(n, m, choices, model.label, seed)
-
-    # Degree-proportional part sampled from an endpoint urn: each vertex
-    # appears once per unit of degree, so a uniform pick is a size-biased pick.
+    # P(v) = w * deg(v) / (2mt) + (1 - w) / t with w = 2m*beta / (2m*beta + a),
+    # independent of t: a fixed-weight mixture of a degree-proportional pick
+    # and a uniform pick. Each part is drawn only when it has weight, and the
+    # coin only when both do, in the order urn, uniform, coin.
+    two_m_beta = 2 * m * model.beta
+    w = two_m_beta / (two_m_beta + model.shift)
+    use_urn, use_uniform = w > 0, w < 1
+    # The degree part is drawn from an endpoint urn: each vertex appears once
+    # per unit of degree, so a uniform pick from it is a size-biased pick.
     urn = np.empty(2 * m * n, dtype=np.int64)
     urn[: 2 * m] = 1
     size = 2 * m
-    if model.kind == KIND_PA:
-        for t in range(2, n + 1):
+    for t in range(2, n + 1):
+        if use_urn:
             targets = urn[rng.integers(0, size, size=m)]
-            choices[t - 2] = targets
-            urn[size : size + m] = targets
-            urn[size + m : size + 2 * m] = t
-            size += 2 * m
-    else:
-        # affine-pa is a fixed-weight mixture of the urn pick (degree part)
-        # and a uniform pick: (deg+a)/((2m+a)t) = w*deg/(2mt) + (1-w)/t
-        # with w = 2m/(2m+a), independent of t.
-        w = 2 * m / (2 * m + model.a)
-        for t in range(2, n + 1):
-            from_urn = urn[rng.integers(0, size, size=m)]
-            from_uniform = rng.integers(1, t, size=m)
-            targets = np.where(rng.random(m) < w, from_urn, from_uniform)
-            choices[t - 2] = targets
+        if use_uniform:
+            picks = rng.integers(1, t, size=m)
+            targets = np.where(rng.random(m) < w, targets, picks) if use_urn else picks
+        choices[t - 2] = targets
+        if use_urn:
             urn[size : size + m] = targets
             urn[size + m : size + 2 * m] = t
             size += 2 * m
@@ -254,17 +268,12 @@ def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:
 
 
 def replay(traj: Trajectory, t: int) -> DegreeState:
-    """DegreeState of the graph after arrival t (forward replay, O(t*m))."""
+    """DegreeState of the graph after arrival t, from one IncrementalReplay pass."""
     if not 1 <= t <= traj.n:
         raise ValueError(f"t must be in [1, {traj.n}]")
-    m = traj.m
-    degrees = np.zeros(t, dtype=np.int64)
-    degrees[0] = 2 * m
-    if t >= 2:
-        degrees[1:] = m
-        hits = traj.choices[: t - 1].ravel()
-        degrees += np.bincount(hits - 1, minlength=t)
-    return DegreeState(t=t, degrees=degrees, total_degree=int(degrees.sum()))
+    scan = IncrementalReplay(traj)
+    scan.advance(t)
+    return scan.state()
 
 
 # --- trajectory file format (versioned, line oriented) ---

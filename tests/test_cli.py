@@ -170,6 +170,22 @@ class TestExperimentCommand:
         manifest = json.loads((tmp_path / "conc.json").read_text())
         assert manifest["experiment_config"]["replications"] == 12
 
+    def test_label_with_whitespace_is_usage_error(self, tmp_path):
+        config = {
+            "experiment": "radius-scan",
+            "null_model": {"kind": "pa", "m": 1, "a": 0.0, "label": "my pa"},
+            "n_values": [40],
+            "replications": 3,
+            "test_config": {"D": 1.0, "seed": 4},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error:") and "whitespace" in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_experiment_is_error(self):
         proc = run_cli("experiment", "--m0", "pa", "--n-values", "50", "--seed", "1")
         assert proc.returncode == 2

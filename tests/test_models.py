@@ -28,6 +28,16 @@ def state_with(degrees):
     return DegreeState(t=len(arr), degrees=arr, total_degree=int(arr.sum()))
 
 
+def reference_degrees(traj, t):
+    """Degrees after arrival t, one arrival at a time, from the definition."""
+    degrees = [2 * traj.m]
+    for s in range(2, t + 1):
+        for v in traj.choices[s - 2]:
+            degrees[v - 1] += 1
+        degrees.append(traj.m)
+    return degrees
+
+
 class TestStepDistribution:
     def test_single_vertex_takes_all_mass(self):
         probs = step_distribution(pref_attach(), initial_state(1))
@@ -51,6 +61,28 @@ class TestStepDistribution:
         empty = DegreeState(t=0, degrees=np.array([], dtype=np.int64), total_degree=0)
         with pytest.raises(ValueError, match="empty graph"):
             step_distribution(pref_attach(), empty)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [affine_pref_attach(0.37)])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_mass_is_the_kernel_on_each_degree(self, model, m):
+        model = ModelSpec(model.kind, m=m, a=model.a)
+        traj = sample_trajectory(model, 120, seed=5)
+        for t in (1, 2, 30, 119):
+            state = replay(traj, t)
+            mass = step_distribution(model, state).mass
+            for v in range(1, t + 1):
+                assert mass[v - 1] == model.attachment_probability(int(state.degrees[v - 1]), t)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [affine_pref_attach(0.37)])
+    def test_mass_matches_exact_rationals(self, model):
+        from dyngof.oracle import _exact_step_probs
+
+        traj = sample_trajectory(model, 150, seed=8)
+        for t in (1, 2, 3, 40, 149):
+            state = replay(traj, t)
+            exact = _exact_step_probs(model, state.degrees.tolist())
+            mass = step_distribution(model, state).mass
+            assert np.max(np.abs(mass - np.array([float(p) for p in exact]))) <= 1e-15
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("m", [1, 3])
@@ -111,6 +143,13 @@ class TestSampleTrajectory:
         sigma = (0.75 * 0.25 / reps) ** 0.5
         assert abs(p_hat - 0.75) <= 3 * sigma
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_affine_with_zero_shift_draws_like_pa(self, m):
+        # w = 1: the urn alone is used and no mixing coin is drawn.
+        affine = sample_trajectory(ModelSpec("affine-pa", m=m, a=0.0), 300, seed=21)
+        pa = sample_trajectory(pref_attach(m), 300, seed=21)
+        np.testing.assert_array_equal(affine.choices, pa.choices)
+
     def test_affine_large_a_approaches_uniform(self):
         # With a huge shift the degree part is negligible.
         model = affine_pref_attach(1e9)
@@ -154,6 +193,7 @@ class TestReplay:
         traj = sample_trajectory(model, 50, seed=3)
         for t in (1, 2, 25, 50):
             state = replay(traj, t)
+            assert state.degrees.tolist() == reference_degrees(traj, t)
             assert state.total_degree == 2 * m * t
             assert int(state.degrees.sum()) == 2 * m * t
             if model.kind == "pa":
@@ -175,7 +215,26 @@ class TestReplay:
             expected = replay(traj, t)
             assert state.t == expected.t
             np.testing.assert_array_equal(state.degrees, expected.degrees)
-            assert state.total_degree == expected.total_degree
+            assert state.degrees.tolist() == reference_degrees(traj, t)
+            assert state.total_degree == expected.total_degree == 2 * traj.m * t
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_fuzzed_replays_match_per_arrival_reference(self, case):
+        rng = np.random.default_rng(case)
+        n, m = int(rng.integers(2, 70)), int(rng.integers(1, 4))
+        base = ALL_MODELS[case % len(ALL_MODELS)]
+        traj = sample_trajectory(ModelSpec(base.kind, m=m, a=base.a), n, seed=case)
+        scan = IncrementalReplay(traj)
+        # Sorted draws with replacement, so some times repeat.
+        for t in np.sort(rng.integers(1, n + 1, size=8)).tolist():
+            scan.advance(t)
+            scan.advance(t)
+            expected = reference_degrees(traj, t)
+            for state in (scan.state(), replay(traj, t)):
+                assert state.t == t
+                assert state.degrees.tolist() == expected
+                assert state.total_degree == 2 * m * t
+                assert int(state.degrees.sum()) == 2 * m * t
 
 
 class TestPaExactness:
@@ -206,7 +265,6 @@ class TestPaExactness:
 class TestModelSpec:
     def test_class_membership_metadata(self):
         for model in ALL_MODELS:
-            assert model.in_class_c
             assert model.churn_bound == 2 * model.m
         assert pref_attach(m=4).churn_bound == 8
 
@@ -215,12 +273,25 @@ class TestModelSpec:
             ModelSpec("pa", m=0)
         with pytest.raises(ValueError):
             ModelSpec("affine-pa", a=-1.0)
+        for a in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ModelSpec("affine-pa", a=a)
         with pytest.raises(ValueError):
             ModelSpec("nonsense")
 
     def test_label_excluded_from_equality(self):
         assert ModelSpec("pa", label="x") == ModelSpec("pa", label="y")
         assert ModelSpec("pa") != ModelSpec("uniform")
+
+    @pytest.mark.parametrize("label", ["my pa", "pa\t1", "pa\n", " pa"])
+    def test_label_with_whitespace_rejected(self, label):
+        with pytest.raises(ValueError, match="whitespace"):
+            ModelSpec("pa", label=label)
+
+    def test_affine_rule_parameters(self):
+        assert (pref_attach(m=2).beta, pref_attach(m=2).shift) == (1, 0.0)
+        assert (uniform_attach(m=2).beta, uniform_attach(m=2).shift) == (0, 1.0)
+        assert (affine_pref_attach(2.5).beta, affine_pref_attach(2.5).shift) == (1, 2.5)
 
 
 class TestTrajectoryFile:
@@ -231,6 +302,22 @@ class TestTrajectoryFile:
         back = read_trajectory(str(path))
         assert (back.n, back.m, back.seed, back.model_label) == (
             traj.n, traj.m, traj.seed, traj.model_label,
+        )
+        np.testing.assert_array_equal(back.choices, traj.choices)
+
+    @pytest.mark.parametrize(
+        "model",
+        [ModelSpec(kind, m=m) for kind in ("pa", "uniform") for m in (1, 2, 3)]
+        + [affine_pref_attach(a, m=m) for a in (1e-05, 0.5, 2.5) for m in (1, 2, 3)],
+        ids=lambda model: model.label,
+    )
+    def test_round_trip_every_default_label(self, model, tmp_path):
+        path = tmp_path / "t.traj"
+        traj = sample_trajectory(model, 25, seed=6)
+        write_trajectory(traj, str(path))
+        back = read_trajectory(str(path))
+        assert (back.n, back.m, back.seed, back.model_label) == (
+            traj.n, traj.m, traj.seed, model.label,
         )
         np.testing.assert_array_equal(back.choices, traj.choices)
 
@@ -274,6 +361,10 @@ class TestTrajectoryValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             Trajectory(3, 2, np.array([[1], [1]]), "x", 0)
+
+    def test_rejects_label_with_whitespace(self):
+        with pytest.raises(ValueError, match="whitespace"):
+            Trajectory(3, 1, np.array([[1], [1]]), "my pa", 0)
 
     def test_choices_frozen(self):
         traj = sample_trajectory(pref_attach(), 5, seed=0)
