@@ -49,7 +49,8 @@ class ModelSpec:
     m is the number of edges per arriving vertex (all mechanisms); a is
     the additive degree shift (affine-pa only). The label is cosmetic and
     excluded from equality; it names the model in trajectory file headers,
-    so it must not contain whitespace.
+    so it must not contain whitespace. Left empty, it is derived from kind,
+    m and a, and dataclasses.replace derives it again from the new fields.
     """
 
     kind: str
@@ -63,14 +64,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _AFFINE_RULE:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_edges(self.m)
         if not 0 <= self.a < math.inf:
             raise ValueError("a must be finite and nonnegative")
         if self.kind != KIND_AFFINE and self.a != 0.0:
             raise ValueError("a is only meaningful for affine-pa")
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
+        if not self.label or isinstance(self.label, _DerivedLabel):
+            object.__setattr__(self, "label", _DerivedLabel(self._default_label()))
         _check_label(self.label)
         beta, base_shift = _AFFINE_RULE[self.kind]
         object.__setattr__(self, "beta", beta)
@@ -86,10 +86,12 @@ class ModelSpec:
 
         The single float evaluation of the affine rule: the shift is added
         only when nonzero and beta = 0 fills a constant, so each mechanism
-        costs no more than its own closed form and gives the same bits.
+        costs no more than its own closed form and gives the same bits. t
+        may be an array of the degrees' shape, one time per degree; each
+        entry then has the bits of the scalar call.
         """
         beta, shift = self.beta, self.shift
-        norm = float(2 * self.m * beta * t + shift * t)
+        norm = 2 * self.m * beta * t + shift * t
         if beta == 0:
             return np.full(np.shape(degrees), shift / norm)
         if shift:
@@ -100,6 +102,15 @@ class ModelSpec:
     def churn_bound(self) -> int:
         """Max vertices whose degree changes in one step (2m: m targets + arrival)."""
         return 2 * self.m
+
+
+class _DerivedLabel(str):
+    """A label ModelSpec filled in from its fields rather than one given."""
+
+
+def _check_edges(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
 
 
 def _check_label(label: str) -> None:
@@ -174,6 +185,7 @@ class Trajectory:
 
     def __post_init__(self):
         _check_label(self.model_label)
+        _check_edges(self.m)
         choices = np.ascontiguousarray(self.choices, dtype=np.int64)
         if choices.shape != (self.n - 1, self.m):
             raise ValueError(f"choices must have shape {(self.n - 1, self.m)}")
@@ -311,6 +323,7 @@ def read_trajectory(path: str) -> Trajectory:
         label = fields["model"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad trajectory header: {lines[0]!r}") from exc
+    _check_edges(m)
     body = lines[1:]
     if len(body) != n - 1:
         raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")

@@ -5,7 +5,10 @@ arrivals [t, t+width) as approximately iid draws from the time-t
 conditional distribution, discarding choices that land outside the
 vertices {1, ..., t-1} alive before the window. The resulting sparse
 empirical measure is compared against a model's conditional distribution
-in total variation.
+in total variation. empirical_measure and tv_distance are the
+single-probe definitions; probe_tvs computes every probe of a plan with
+the same bits in a few batched numpy passes, and is what the statistic
+calls.
 
 Also provides the pair-counting representation of TV between two discrete
 measures: group domain elements by their (p, q) probability pair and sum
@@ -20,7 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import ProbVector, Trajectory
+from .models import ModelSpec, ProbVector, Trajectory
+
+# Window elements gathered per batch of probes in probe_tvs. It bounds the
+# kernel's working memory at a few times this many words whatever n is; a
+# batch holds at least one probe, so a wider window makes a batch of one.
+BATCH_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,59 @@ def tv_distance(emp: EmpiricalMeasure, model_probs: ProbVector) -> float:
         p = mass[v - 1]
         acc += abs(c / denom - p) - p
     return min(max(0.5 * acc, 0.0), 1.0)
+
+
+def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> np.ndarray:
+    """TV distance of every probe of the plan, without per-probe dicts.
+
+    Entry k has the bits of tv_distance(empirical_measure(traj, r, width),
+    step_distribution(model, replay(traj, r - 1))) for r = plan.points[k]:
+    the same support in ascending v, the same float operations and the
+    same left-to-right sum. The plan must be feasible for traj.
+    """
+    n, m, choices = traj.n, traj.m, traj.choices
+    size = plan.width * m  # choices per window
+    # deg_{r-1}(v) = base + #hits on v in rows 0..r-3. With keys v*n + row
+    # sorted once, that count is searchsorted(keys, v*n + r-2) minus the
+    # first index of v's keys; lead[v] holds base minus that index.
+    keys = np.sort((choices * n + np.arange(n - 1)[:, None]).ravel())
+    lead = m - np.searchsorted(keys, np.arange(n) * n)
+    lead[1] += m
+    offsets = np.arange(plan.width)
+    step = max(1, BATCH_ELEMENTS // size)
+    out = np.empty(plan.count)
+    for lo in range(0, plan.count, step):
+        r = plan.points[lo : lo + step]
+        b = r.size
+        win = choices[r[:, None] - 2 + offsets].reshape(b, size)
+        inside = win < r[:, None]
+        denom = np.count_nonzero(inside, axis=1)
+        win[~inside] = n  # sentinel above every kept target
+        win.sort(axis=1)
+        # Runs of equal targets in each sorted row: starts, lengths, values.
+        flat = win.ravel()
+        edge = np.empty(flat.size + 1, dtype=bool)
+        edge[-1] = True
+        np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+        edge[:-1:size] = True
+        edges = np.flatnonzero(edge)
+        starts = edges[:-1]
+        v = flat[starts]
+        kept = v < n
+        starts, v = starts[kept], v[kept]
+        counts = edges[1:][kept] - starts
+        row = starts // size
+        t = r[row] - 1
+        p = model.attachment_probability(lead[v] + np.searchsorted(keys, v * n + t - 1), t)
+        # Row k holds 1, then each run's term at its sorted position, zeros
+        # elsewhere. accumulate adds strictly left to right, as tv_distance
+        # does; add.reduce may sum pairwise and change the last bits.
+        terms = np.zeros((b, size + 1))
+        terms[:, 0] = 1.0
+        terms.ravel()[starts + row + 1] = np.abs(counts / denom[row] - p) - p
+        acc = np.add.accumulate(terms, axis=1)[:, -1]
+        out[lo : lo + b] = np.minimum(np.maximum(0.5 * acc, 0.0), 1.0)
+    return out
 
 
 def tv_dense(p: ProbVector, q: ProbVector) -> float:

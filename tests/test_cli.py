@@ -59,7 +59,7 @@ class TestTestCommand:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert list(doc) == ["S", "alpha", "decision", "M", "C",
-                             "zero_denom_count", "radius_mean", "radius_std", "seed"]
+                             "radius_mean", "radius_std", "seed"]
         assert doc["decision"] == 0
         assert doc["alpha"] == doc["radius_mean"] + 25.0
 
@@ -82,6 +82,15 @@ class TestTestCommand:
         proc = run_cli("test", str(path), "--null-model", "pa", "--D", "1", "--seed", "3")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_m_header_is_error(self, tmp_path, m):
+        path = tmp_path / "m.traj"
+        path.write_text(f"dyngof-traj v1 n=3 m={m} model=pa(m=1) seed=0\n\n\n")
+        proc = run_cli("test", str(path), "--null-model", "pa", "--D", "1", "--seed", "3")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: m must be a positive integer, got {m}\n"
+        assert proc.stdout == ""
 
     def test_missing_file_is_error(self):
         proc = run_cli("test", "/nonexistent.traj", "--null-model", "pa", "--D", "1", "--seed", "3")

@@ -47,7 +47,6 @@ class TestTestStatistic:
         result = test_statistic(traj_from([[1], [1], [2]]), PA, plan_at([2], 2))
         assert result.S == 0.0
         assert result.per_probe_tv == [0.0]
-        assert result.zero_denom_count == 0
 
     def test_probe_with_concentrated_window(self):
         # window [3, 5) targets 2, 2; null conditional from degrees [3, 1]
@@ -228,8 +227,7 @@ class TestTestDynamicGraph:
         cfg = TestConfig(null_model=PA, D=1.0, alpha_mode=FixedAlpha(5.0), seed=21)
         doc = json.loads(test_dynamic_graph(traj, cfg).to_json())
         assert list(doc) == [
-            "S", "alpha", "decision", "M", "C",
-            "zero_denom_count", "radius_mean", "radius_std", "seed",
+            "S", "alpha", "decision", "M", "C", "radius_mean", "radius_std", "seed",
         ]
         assert doc["M"] == cfg.probes_for(100)
         assert doc["C"] == cfg.width_for(100)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -279,6 +280,13 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec("nonsense")
 
+    def test_replace_rederives_default_label(self):
+        assert dataclasses.replace(pref_attach(1), m=3).label == "pa(m=3)"
+        assert dataclasses.replace(affine_pref_attach(0.5), a=1.0).label == "affine-pa(a=1,m=1)"
+        assert dataclasses.replace(ModelSpec("pa", label="mine"), m=2).label == "mine"
+        traj = sample_trajectory(dataclasses.replace(uniform_attach(1), m=2), 5, seed=0)
+        assert traj.model_label == "uniform(m=2)"
+
     def test_label_excluded_from_equality(self):
         assert ModelSpec("pa", label="x") == ModelSpec("pa", label="y")
         assert ModelSpec("pa") != ModelSpec("uniform")
@@ -365,6 +373,17 @@ class TestTrajectoryValidation:
     def test_rejects_label_with_whitespace(self):
         with pytest.raises(ValueError, match="whitespace"):
             Trajectory(3, 1, np.array([[1], [1]]), "my pa", 0)
+
+    def test_rejects_nonpositive_m(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            Trajectory(3, 0, np.empty((2, 0)), "x", 0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_reader_rejects_nonpositive_m(self, tmp_path, m):
+        path = tmp_path / "m.traj"
+        path.write_text(f"dyngof-traj v1 n=3 m={m} model=pa(m=1) seed=0\n\n\n")
+        with pytest.raises(ValueError, match="positive integer"):
+            read_trajectory(str(path))
 
     def test_choices_frozen(self):
         traj = sample_trajectory(pref_attach(), 5, seed=0)
