@@ -252,30 +252,32 @@ def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:
         raise ValueError("n must be at least 2")
     m = model.m
     rng = stream(seed)
+    if model.beta == 0:
+        # Uniform: arrival t draws m picks from {1, ..., t-1}. One broadcast
+        # call gives the same stream as one integers(1, t, size=m) per arrival.
+        high = np.broadcast_to(np.arange(2, n + 1, dtype=np.int64)[:, None], (n - 1, m))
+        return Trajectory(n, m, rng.integers(1, high), model.label, seed)
     choices = np.empty((n - 1, m), dtype=np.int64)
     # P(v) = w * deg(v) / (2mt) + (1 - w) / t with w = 2m*beta / (2m*beta + a),
     # independent of t: a fixed-weight mixture of a degree-proportional pick
-    # and a uniform pick. Each part is drawn only when it has weight, and the
-    # coin only when both do, in the order urn, uniform, coin.
+    # and a uniform pick. The uniform part and the coin are drawn only when
+    # the shift has weight (w < 1), in the order urn, uniform, coin.
     two_m_beta = 2 * m * model.beta
     w = two_m_beta / (two_m_beta + model.shift)
-    use_urn, use_uniform = w > 0, w < 1
     # The degree part is drawn from an endpoint urn: each vertex appears once
     # per unit of degree, so a uniform pick from it is a size-biased pick.
     urn = np.empty(2 * m * n, dtype=np.int64)
     urn[: 2 * m] = 1
     size = 2 * m
     for t in range(2, n + 1):
-        if use_urn:
-            targets = urn[rng.integers(0, size, size=m)]
-        if use_uniform:
+        targets = urn[rng.integers(0, size, size=m)]
+        if w < 1:
             picks = rng.integers(1, t, size=m)
-            targets = np.where(rng.random(m) < w, targets, picks) if use_urn else picks
+            targets = np.where(rng.random(m) < w, targets, picks)
         choices[t - 2] = targets
-        if use_urn:
-            urn[size : size + m] = targets
-            urn[size + m : size + 2 * m] = t
-            size += 2 * m
+        urn[size : size + m] = targets
+        urn[size + m : size + 2 * m] = t
+        size += 2 * m
     return Trajectory(n, m, choices, model.label, seed)
 
 

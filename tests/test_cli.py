@@ -96,6 +96,17 @@ class TestTestCommand:
         proc = run_cli("test", "/nonexistent.traj", "--null-model", "pa", "--D", "1", "--seed", "3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--D", "nan"), ("--D", "inf"), ("--D", "1", "--alpha", "fixed:nan"),
+        ("--D", "1", "--alpha", "fixed:inf"),
+    ])
+    def test_nonfinite_threshold_is_error(self, pa_traj, flags):
+        proc = run_cli("test", str(pa_traj), "--null-model", "pa", *flags, "--seed", "3")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_bad_alpha_spec_is_error(self, pa_traj):
         proc = run_cli("test", str(pa_traj), "--null-model", "pa", "--D", "1",
                        "--alpha", "magic", "--seed", "3")

@@ -101,6 +101,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="D must be positive"):
             TestConfig(null_model=PA, D=0.0)
 
+    @pytest.mark.parametrize("D", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_d(self, D):
+        with pytest.raises(ValueError, match="D must be positive and finite"):
+            TestConfig(null_model=PA, D=D)
+
     def test_rejects_bad_fractions(self):
         with pytest.raises(ValueError):
             TestConfig(null_model=PA, D=1.0, width_fraction=1.5)
@@ -118,6 +123,9 @@ class TestConfigValidation:
             SampledAlpha(replications=1)
         with pytest.raises(ValueError):
             FixedAlpha(radius=-0.5)
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                FixedAlpha(radius=radius)
 
 
 class TestSamplingRadiusEstimate:

@@ -8,9 +8,11 @@ result, which breaks the reproducibility of every stored trajectory.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from dyngof.models import ModelSpec, replay, sample_trajectory, step_distribution
+from dyngof.models import ModelSpec, replay, sample_trajectory, step_distribution, uniform_attach
+from dyngof.rng import stream
 
 SEEDS = (0, 7, 2**63 - 5)
 
@@ -58,3 +60,19 @@ def test_choices_stream_unchanged(kind, a, m):
 @pytest.mark.parametrize("kind,a,m", list(GOLDEN), ids=lambda v: str(v))
 def test_masses_unchanged(kind, a, m):
     assert mass_digest(ModelSpec(kind, m=m, a=a)) == GOLDEN[kind, a, m][1]
+
+
+def uniform_per_arrival(n, m, seed):
+    """The uniform sampler as one integers(1, t, size=m) call per arrival t."""
+    rng = stream(seed)
+    return np.array([rng.integers(1, t, size=m) for t in range(2, n + 1)], dtype=np.int64).reshape(n - 1, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 5000])
+def test_uniform_broadcast_draw_matches_per_arrival_stream(n, m):
+    # The sampler draws every uniform choice in one broadcast call; numpy
+    # must give it the stream of the per-arrival calls.
+    for seed in (0, 7, 2**63 - 5, 1, 12345, 2**40 + 3):
+        got = sample_trajectory(uniform_attach(m), n, seed).choices
+        assert np.array_equal(got, uniform_per_arrival(n, m, seed))
