@@ -252,33 +252,51 @@ def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:
         raise ValueError("n must be at least 2")
     m = model.m
     rng = stream(seed)
+    # Arrival t = i + 2 (row i) draws from {1, ..., t-1}. Each draw below is
+    # one broadcast call over all rows, which gives the same stream as one
+    # call of size m per arrival.
+    rows = np.arange(1, n, dtype=np.int64)[:, None]  # t - 1
     if model.beta == 0:
-        # Uniform: arrival t draws m picks from {1, ..., t-1}. One broadcast
-        # call gives the same stream as one integers(1, t, size=m) per arrival.
-        high = np.broadcast_to(np.arange(2, n + 1, dtype=np.int64)[:, None], (n - 1, m))
-        return Trajectory(n, m, rng.integers(1, high), model.label, seed)
-    choices = np.empty((n - 1, m), dtype=np.int64)
+        return Trajectory(n, m, rng.integers(1, np.broadcast_to(rows + 1, (n - 1, m))), model.label, seed)
     # P(v) = w * deg(v) / (2mt) + (1 - w) / t with w = 2m*beta / (2m*beta + a),
     # independent of t: a fixed-weight mixture of a degree-proportional pick
-    # and a uniform pick. The uniform part and the coin are drawn only when
-    # the shift has weight (w < 1), in the order urn, uniform, coin.
-    two_m_beta = 2 * m * model.beta
-    w = two_m_beta / (two_m_beta + model.shift)
-    # The degree part is drawn from an endpoint urn: each vertex appears once
-    # per unit of degree, so a uniform pick from it is a size-biased pick.
-    urn = np.empty(2 * m * n, dtype=np.int64)
-    urn[: 2 * m] = 1
-    size = 2 * m
-    for t in range(2, n + 1):
-        targets = urn[rng.integers(0, size, size=m)]
-        if w < 1:
-            picks = rng.integers(1, t, size=m)
-            targets = np.where(rng.random(m) < w, targets, picks)
-        choices[t - 2] = targets
-        urn[size : size + m] = targets
-        urn[size + m : size + 2 * m] = t
-        size += 2 * m
-    return Trajectory(n, m, choices, model.label, seed)
+    # and a uniform pick. The degree part is a uniform pick from an endpoint
+    # urn holding each vertex once per unit of degree: vertex 1 fills slots
+    # [0, 2m), then arrival t appends its m targets and m copies of t, so
+    # arrival t picks among slots [0, 2m(t-1)). Only a slot's content
+    # depends on earlier draws, so all slot indices are drawn at once.
+    two_m = 2 * m
+    x = rng.integers(0, np.broadcast_to(two_m * rows, (n - 1, m)))
+    # Slot s = 2m*r + c holds vertex r + 1 if r == 0 or c >= m; otherwise it
+    # holds the target of the earlier choice k = (r-1)*m + c, which x keeps
+    # as the pointer -(k + 1) = (m - 1 - c) - m*r < 0 until it is resolved.
+    # In place, so r is the only extra (n-1) x m array: x becomes c, then
+    # 1 or m - 1 - c, then adds r or -m*r.
+    r = np.empty_like(x)
+    np.divmod(x, two_m, out=(r, x))
+    pointer = (x < m) & (r > 0)
+    np.subtract(m - 1, x, out=x)
+    np.copyto(x, 1, where=~pointer)
+    np.multiply(r, -m, out=r, where=pointer)
+    x += r
+    del r, pointer
+    if model.shift:
+        # Block order: all slots, then all uniform picks, then all coins;
+        # a choice whose coin is not below w takes its uniform pick.
+        picks = rng.integers(1, np.broadcast_to(rows + 1, (n - 1, m)))
+        w = two_m * model.beta / (two_m * model.beta + model.shift)
+        np.copyto(x, picks, where=rng.random((n - 1, m)) >= w)
+        del picks
+    # Pointer jumping: each pass replaces a pointer by what it points at, a
+    # vertex or that choice's own pointer, so a chain of length L resolves
+    # in about log2(L) + 1 passes.
+    x = x.ravel()
+    todo = np.flatnonzero(x < 0)
+    while todo.size:
+        ahead = x[-1 - x[todo]]
+        x[todo] = ahead
+        todo = todo[ahead < 0]
+    return Trajectory(n, m, x.reshape(n - 1, m), model.label, seed)
 
 
 def replay(traj: Trajectory, t: int) -> DegreeState:
@@ -329,13 +347,16 @@ def read_trajectory(path: str) -> Trajectory:
     body = lines[1:]
     if len(body) != n - 1:
         raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")
+    # A line of m targets has at least 2m - 1 characters. A body shorter than
+    # that in total has a short line; it is reported before the (n-1) x m
+    # array is allocated, so a huge m in the header costs no memory.
+    if (n - 1) * (2 * m - 1) > sum(map(len, body)):
+        for t, line in enumerate(body, start=2):
+            _split_row(line, t, m)
     choices = np.empty((n - 1, m), dtype=np.int64)
     for i, line in enumerate(body):
         t = i + 2
-        parts = line.split()
-        if len(parts) != m:
-            raise ValueError(f"arrival {t}: expected {m} targets, found {len(parts)}")
-        for j, part in enumerate(parts):
+        for j, part in enumerate(_split_row(line, t, m)):
             try:
                 v = int(part)
             except ValueError as exc:
@@ -344,3 +365,10 @@ def read_trajectory(path: str) -> Trajectory:
                 raise ValueError(f"arrival {t}: target {v} out of range")
             choices[i, j] = v
     return Trajectory(n, m, choices, label, seed)
+
+
+def _split_row(line: str, t: int, m: int) -> list[str]:
+    parts = line.split()
+    if len(parts) != m:
+        raise ValueError(f"arrival {t}: expected {m} targets, found {len(parts)}")
+    return parts

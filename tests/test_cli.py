@@ -92,6 +92,14 @@ class TestTestCommand:
         assert proc.stderr == f"error: m must be a positive integer, got {m}\n"
         assert proc.stdout == ""
 
+    def test_huge_m_header_is_error(self, tmp_path):
+        path = tmp_path / "huge.traj"
+        path.write_text(f"dyngof-traj v1 n=2 m={10**12} model=pa(m=1) seed=0\n1\n")
+        proc = run_cli("test", str(path), "--null-model", "pa", "--D", "1", "--seed", "3")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: arrival 2: expected {10**12} targets, found 1\n"
+        assert proc.stdout == ""
+
     def test_missing_file_is_error(self):
         proc = run_cli("test", "/nonexistent.traj", "--null-model", "pa", "--D", "1", "--seed", "3")
         assert proc.returncode == 2

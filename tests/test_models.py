@@ -176,6 +176,26 @@ class TestSampleTrajectory:
         expected = np.array([float(p) * reps for _, p in exact])
         assert chisquare(observed, expected).pvalue > 0.01
 
+    @pytest.mark.parametrize("model", [pref_attach(), affine_pref_attach(0.5), affine_pref_attach(2.5)],
+                             ids=lambda model: model.label)
+    def test_urn_law_matches_exact_enumeration_n5(self, model):
+        # The urn's slot contents are resolved through pointers to earlier
+        # choices; by n = 5 a slot can point at a choice that itself points
+        # further back, so a wrong constant-slot rule or an off-by-one
+        # pointer moves these frequencies.
+        from scipy.stats import chisquare
+
+        from dyngof.oracle import enumerate_trajectories
+
+        exact = enumerate_trajectories(model, 5)
+        index = {choices: k for k, (choices, _) in enumerate(exact)}
+        reps = 20_000
+        observed = np.zeros(len(exact))
+        for s in range(reps):
+            observed[index[tuple(sample_trajectory(model, 5, seed=s).choices[:, 0].tolist())]] += 1
+        expected = np.array([float(p) * reps for _, p in exact])
+        assert chisquare(observed, expected).pvalue > 0.001
+
 
 class TestReplay:
     def test_two_attachments_to_root(self):
@@ -358,6 +378,18 @@ class TestTrajectoryFile:
         path = tmp_path / "nonint.traj"
         path.write_text("dyngof-traj v1 n=3 m=1 model=pa(m=1) seed=0\n1\nfoo\n")
         with pytest.raises(ValueError, match="non-integer"):
+            read_trajectory(str(path))
+
+    @pytest.mark.parametrize("n,body", [(2, "1\n"), (3, "\n\n"), (1, "")])
+    def test_rejects_huge_m_before_allocating(self, tmp_path, n, body):
+        # An (n-1) x 10**12 int64 array would need 7 TiB; the row check
+        # must fail first, or the empty body must allocate nothing.
+        path = tmp_path / "huge.traj"
+        path.write_text(f"dyngof-traj v1 n={n} m={10**12} model=pa(m=1) seed=0\n{body}")
+        if n == 1:
+            assert read_trajectory(str(path)).choices.shape == (0, 10**12)
+            return
+        with pytest.raises(ValueError, match=f"arrival 2: expected {10**12} targets, found"):
             read_trajectory(str(path))
 
 

@@ -1,9 +1,16 @@
 """Golden hashes pinning the random streams and the float masses.
 
-The digests were recorded before the three per-mechanism samplers and
-mass formulas were folded into one affine kernel; they must not move.
-A changed digest means a changed random stream or a changed float
-result, which breaks the reproducibility of every stored trajectory.
+The pa and uniform digests were recorded before the three per-mechanism
+samplers and mass formulas were folded into one affine kernel, and they
+must not move. The affine-pa digests (a > 0) were re-recorded when the
+per-arrival urn loop gave way to the vectorized sampler, which draws all
+slot indices, then all uniform picks, then all coins. A changed digest
+means a changed random stream or a changed float result, which breaks the
+reproducibility of every stored trajectory.
+
+The per-arrival urn loop stays here as the reference: the sampler must
+reproduce its stream bit for bit for pa and affine-pa with a = 0, and
+the loop fed with block-order draws for affine-pa with a > 0.
 """
 
 import hashlib
@@ -11,7 +18,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from dyngof.models import ModelSpec, replay, sample_trajectory, step_distribution, uniform_attach
+from dyngof.models import (
+    ModelSpec,
+    affine_pref_attach,
+    pref_attach,
+    replay,
+    sample_trajectory,
+    step_distribution,
+    uniform_attach,
+)
 from dyngof.rng import stream
 
 SEEDS = (0, 7, 2**63 - 5)
@@ -25,15 +40,15 @@ GOLDEN = {
     ("uniform", 0.0, 1): ("db79b9dbc2b5e12f535dc11b6e573a5441ffbd200f737e31b9bf69a9f9240c24", "f8e9e84af43d12d4e39e9af926a7a8eb32110bb446a80c088f79bf09fdc7088a"),
     ("uniform", 0.0, 2): ("1d6f837332f17cad6e00d1f962e0f2c48174f19eea764ec89e027b4b6278e550", "f8e9e84af43d12d4e39e9af926a7a8eb32110bb446a80c088f79bf09fdc7088a"),
     ("uniform", 0.0, 3): ("b5acfea7ecbac8e5b87583659f11278bc5ccf02cecf56ed9d6881457cead39d6", "f8e9e84af43d12d4e39e9af926a7a8eb32110bb446a80c088f79bf09fdc7088a"),
-    ("affine-pa", 0.5, 1): ("9f61dc3878c9f4a2b37e5a49508732005163d01a579f7452329aa06b0a082cd9", "537b33d6eb21b395ca9b431304506e0dca6cf2a434bf83a6bba3a5242f5e2cf7"),
-    ("affine-pa", 0.5, 2): ("ae64692fec35a6ce4f148b659009e5b074cee26ddf35cf97954fb98508d52345", "3892b07087e5b9b84b6c2958b8c0da1912b9da82411a3412375ad836ba80d6de"),
-    ("affine-pa", 0.5, 3): ("4f0a8da14e84993666ff89b049eb414bf8f8f8be8d15ce294da55824cf6a3699", "bd1354c7b4b999f4fab29e40b003aebffcfed5c3d3f6f1f405d03a1cde30cbf6"),
-    ("affine-pa", 1.0, 1): ("e78b80408b1fba9d91532c992229d4371092f6a48fa53ee51650cec9d7259b34", "8f069f6aae7e96fb640e3fbcb651c50873067c5d908919767de6fb20d3f2d7c1"),
-    ("affine-pa", 1.0, 2): ("efb648e07fa00595654850543f305f7b501f3463cd27f35747d9a20b98eaccd7", "9878c62c13a0004145422951bcd42770ca9339f0a1ec34dcc5d54b687e81dec3"),
-    ("affine-pa", 1.0, 3): ("92a228559b0d83f7999171ad0dc343120f1a9992f131dd25644c51ba2ef3cbb8", "47cdfd3492b342a0953a28f98257c33385f034dad6c33f5a310892edc7bf83cd"),
-    ("affine-pa", 2.5, 1): ("8eb5598bc4795dfec75d6bf23cd0440413db8ed918393cd6cd753b150e0478ae", "2469275ea2b9d66d561faf49350b93259115ad254208b2d77ba4e6eab17753a4"),
-    ("affine-pa", 2.5, 2): ("a8326c33f415461f4a73802b520c705638aeaf32dc55050f9659b0087fd6d58e", "f773d1c90d9260d14e54a278c4909b321f528b8c07efc86ef422a7a38d39b4f3"),
-    ("affine-pa", 2.5, 3): ("f86678bd565df3ff61109e5f0c03c42dd8b5786f272d6fbb3550a211b365572c", "b8023e3f5f1a9fbd19a086c4f9d70c2c1e1988d88bca0801f7ab6d3d62c4789d"),
+    ("affine-pa", 0.5, 1): ("5dc099f075efba89fa26b435f606207a36f29ef03bc0641644c025086a2757fa", "697167fac0fdfa36a5f4c77d5f04855ce2d2a84a557bd6176b6e65fe7edc939c"),
+    ("affine-pa", 0.5, 2): ("7e6748b7b98c2783dcb1fa3f347e238e0ece6589283f1015a296bd7ac9fca9ac", "bd2adccdb4d9c8e3828d539bfd33cbc6efee1971a194e6af46505a3ca67ab3a4"),
+    ("affine-pa", 0.5, 3): ("c9000e2f8ea3a15189d0278c167840988bc1db05520889405879bcf8706dfcb3", "dfbcd97675c4c27f8cbe75c9d9fe58520c950b81c624ec47ebf75e8690b18d50"),
+    ("affine-pa", 1.0, 1): ("a2ee71a2b174f7507e12b748b91578065ed2ee931e16f07045e90929e43aa952", "61ba27e48ca001382c823c71410ca28df0fdf36ff1d300a4ac96c5ffd34b09eb"),
+    ("affine-pa", 1.0, 2): ("99987961b3cc5d403ccba40320f468735498705f95bfede1f8842bb05ffcacad", "4e328495b6e24c2a909c37df70a7207dfc61d0d3149a9d224cf951ab612a2a75"),
+    ("affine-pa", 1.0, 3): ("df8f30e87aef0ce260a2c15d82046ff1dad08b8687d300d24c91823694e9f33c", "d2bd1dca4926c7dfa4f3b42d1f692838b0df23dc3eb662d7ebe9504d85d9555b"),
+    ("affine-pa", 2.5, 1): ("0d50229e9d75311e3a591ec11a447d6bf9796018cdd9d96b2468cf4fd6dc49f5", "98737e813457665b4c0d36c76c8ea1da262e46b186a8e45fca7e21cc494bdd14"),
+    ("affine-pa", 2.5, 2): ("5e15f46f1949abf18cd40b8c28e802172bc4042aaf22f338990000304f23c8fe", "96ac07d09119221ab585243c7f4a032e9e8298fd9363922e4cca7b7f653d1b5e"),
+    ("affine-pa", 2.5, 3): ("10c36d58136a8269687a6ef27de19a6421b2055097bc739fa3ae73a09862f718", "59e5176c9fcb0282193fc1192f7afb64d3427f3fdb9774f87f0993a889bd6365"),
 }
 
 
@@ -62,6 +77,9 @@ def test_masses_unchanged(kind, a, m):
     assert mass_digest(ModelSpec(kind, m=m, a=a)) == GOLDEN[kind, a, m][1]
 
 
+STREAM_SEEDS = (0, 7, 2**63 - 5, 1, 12345, 2**40 + 3)
+
+
 def uniform_per_arrival(n, m, seed):
     """The uniform sampler as one integers(1, t, size=m) call per arrival t."""
     rng = stream(seed)
@@ -73,6 +91,62 @@ def uniform_per_arrival(n, m, seed):
 def test_uniform_broadcast_draw_matches_per_arrival_stream(n, m):
     # The sampler draws every uniform choice in one broadcast call; numpy
     # must give it the stream of the per-arrival calls.
-    for seed in (0, 7, 2**63 - 5, 1, 12345, 2**40 + 3):
+    for seed in STREAM_SEEDS:
         got = sample_trajectory(uniform_attach(m), n, seed).choices
         assert np.array_equal(got, uniform_per_arrival(n, m, seed))
+
+
+def urn_per_arrival(n, m, pick):
+    """The endpoint-urn sampler as a loop over arrivals.
+
+    pick(t, urn) returns the m targets of arrival t; urn[:2m(t-1)] then
+    holds each vertex once per unit of degree.
+    """
+    urn = np.empty(2 * m * n, dtype=np.int64)
+    urn[: 2 * m] = 1
+    choices = np.empty((n - 1, m), dtype=np.int64)
+    size = 2 * m
+    for t in range(2, n + 1):
+        targets = pick(t, urn)
+        choices[t - 2] = targets
+        urn[size : size + m] = targets
+        urn[size + m : size + 2 * m] = t
+        size += 2 * m
+    return choices
+
+
+def per_arrival_reference(n, m, seed):
+    """pa: one integers(0, 2m(t-1), size=m) call of urn slots per arrival t."""
+    rng = stream(seed)
+    return urn_per_arrival(n, m, lambda t, urn: urn[rng.integers(0, 2 * m * (t - 1), size=m)])
+
+
+def block_order_reference(n, m, a, seed):
+    """affine-pa(a > 0): every urn slot, then every uniform pick, then every coin."""
+    rng = stream(seed)
+    slots = [rng.integers(0, 2 * m * (t - 1), size=m) for t in range(2, n + 1)]
+    picks = [rng.integers(1, t, size=m) for t in range(2, n + 1)]
+    coins = [rng.random(m) for _ in range(2, n + 1)]
+    w = 2 * m / (2 * m + a)
+    return urn_per_arrival(n, m, lambda t, urn: np.where(coins[t - 2] < w, urn[slots[t - 2]], picks[t - 2]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 5000])
+def test_urn_sampler_matches_per_arrival_stream(n, m):
+    # pa and affine-pa with a = 0 draw only urn slots, in one broadcast call
+    # with the stream of the per-arrival loop; resolving the urn's pointer
+    # chains must then give the loop's choices.
+    for seed in STREAM_SEEDS:
+        want = per_arrival_reference(n, m, seed)
+        assert np.array_equal(sample_trajectory(pref_attach(m), n, seed).choices, want)
+        assert np.array_equal(sample_trajectory(affine_pref_attach(0.0, m), n, seed).choices, want)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 5000])
+def test_affine_sampler_matches_block_order_reference(n, m, a):
+    for seed in STREAM_SEEDS:
+        got = sample_trajectory(affine_pref_attach(a, m), n, seed).choices
+        assert np.array_equal(got, block_order_reference(n, m, a, seed))
