@@ -198,6 +198,8 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise CliError(f"config file {args.config} must hold a JSON object")
     # Flags override file values.
     if args.experiment:
         base["experiment"] = args.experiment
@@ -212,6 +214,8 @@ def _cmd_experiment(args) -> int:
     if args.out:
         base["output_path"] = args.out
     tc = base.get("test_config", {})
+    if not isinstance(tc, dict):
+        raise CliError("config field test_config must be a JSON object")
     if "null_model" not in tc and "null_model" in base:
         tc["null_model"] = base["null_model"]
     if args.D is not None:

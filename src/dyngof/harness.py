@@ -394,16 +394,20 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
+    """Build the config from its dict form; a field of the wrong type raises ValueError."""
     alt = d.get("alt_model")
-    return ExperimentConfig(
-        experiment=d["experiment"],
-        null_model=model_from_dict(d["null_model"]),
-        alt_model=model_from_dict(alt) if alt else None,
-        n_values=tuple(d["n_values"]),
-        replications=int(d["replications"]),
-        test_config=test_config_from_dict(d["test_config"]),
-        output_path=d.get("output_path", ""),
-    )
+    try:
+        return ExperimentConfig(
+            experiment=d["experiment"],
+            null_model=model_from_dict(d["null_model"]),
+            alt_model=model_from_dict(alt) if alt else None,
+            n_values=tuple(d["n_values"]),
+            replications=int(d["replications"]),
+            test_config=test_config_from_dict(d["test_config"]),
+            output_path=d.get("output_path", ""),
+        )
+    except TypeError as exc:
+        raise ValueError(f"bad experiment config: {exc}") from exc
 
 
 class ExperimentResult(NamedTuple):

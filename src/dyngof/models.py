@@ -24,6 +24,7 @@ public structures; arrays are 0-indexed internally (degrees[v-1]).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,16 +316,26 @@ _VERSION = "v1"
 
 
 def write_trajectory(traj: Trajectory, path: str) -> None:
-    """Write the v1 text format: header, then one line of targets per arrival."""
-    lines = [f"{_MAGIC} {_VERSION} n={traj.n} m={traj.m} model={traj.model_label} seed={traj.seed}"]
-    for row in traj.choices:
-        lines.append(" ".join(str(int(v)) for v in row))
+    """Write the v1 text format: header, then one line of targets per arrival.
+
+    The body is one %-format over all (n-1)*m targets, so no Python code runs
+    per target; the bytes are those of joining str(v) row by row.
+    """
+    header = f"{_MAGIC} {_VERSION} n={traj.n} m={traj.m} model={traj.model_label} seed={traj.seed}\n"
+    row = " ".join(["%d"] * traj.m) + "\n"
+    body = "".join([row] * (traj.n - 1)) % tuple(traj.choices.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.write(body)
 
 
 def read_trajectory(path: str) -> Trajectory:
-    """Parse the v1 format, rejecting malformed headers and out-of-range targets."""
+    """Parse the v1 format, rejecting malformed headers and out-of-range targets.
+
+    A body line holds m targets separated by whitespace (str.split); each
+    target is a token that int() accepts and lies in {1, ..., t-1} for the
+    arrival t = line number + 1.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -347,6 +358,40 @@ def read_trajectory(path: str) -> Trajectory:
     body = lines[1:]
     if len(body) != n - 1:
         raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")
+    choices = _parse_body(body, n, m)
+    if choices is None:
+        choices = _parse_rows(body, n, m)
+    return Trajectory(n, m, choices, label, seed)
+
+
+def _parse_body(body: list[str], n: int, m: int) -> np.ndarray | None:
+    """All targets in one C parse, or None where _parse_rows must decide.
+
+    Returns only a well-formed (n-1) x m array of in-range targets. Every
+    other body (a parse error, a warning, the wrong shape, a target out of
+    range) goes to the row-by-row reader, which gives the error message or
+    accepts what int() reads and loadtxt does not, such as 1_0. The array's
+    shape comes from the data, so a huge m in the header allocates nothing.
+    """
+    if not body:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a body of blank lines (and numpy < 2 warns
+            # on a float such as 3.0 read as an integer): both are rejects.
+            warnings.simplefilter("error")
+            choices = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if choices.shape != (n - 1, m) or choices.min() < 1:
+        return None
+    if np.any(choices.max(axis=1) >= np.arange(2, n + 1)):  # row i is arrival t = i + 2
+        return None
+    return choices
+
+
+def _parse_rows(body: list[str], n: int, m: int) -> np.ndarray:
+    """Row-by-row parse with int(): the reference reader and every error message."""
     # A line of m targets has at least 2m - 1 characters. A body shorter than
     # that in total has a short line; it is reported before the (n-1) x m
     # array is allocated, so a huge m in the header costs no memory.
@@ -364,7 +409,7 @@ def read_trajectory(path: str) -> Trajectory:
             if not 1 <= v <= t - 1:
                 raise ValueError(f"arrival {t}: target {v} out of range")
             choices[i, j] = v
-    return Trajectory(n, m, choices, label, seed)
+    return choices
 
 
 def _split_row(line: str, t: int, m: int) -> list[str]:

@@ -100,6 +100,25 @@ class TestTestCommand:
         assert proc.stderr == f"error: arrival 2: expected {10**12} targets, found 1\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("garbage", [b"\xff", b"\x00"], ids=["non-utf8", "nul"])
+    def test_undecodable_or_nul_target_is_error(self, pa_traj, garbage):
+        lines = pa_traj.read_bytes().split(b"\n")
+        lines[5] += garbage
+        pa_traj.write_bytes(b"\n".join(lines))
+        proc = run_cli("test", str(pa_traj), "--null-model", "pa", "--D", "50",
+                       "--alpha", "sampled:4", "--seed", "3")
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
+    def test_crlf_file_reads_like_lf_file(self, pa_traj, tmp_path):
+        crlf = tmp_path / "crlf.traj"
+        crlf.write_bytes(pa_traj.read_bytes().replace(b"\n", b"\r\n"))
+        flags = ("--null-model", "pa", "--D", "50", "--alpha", "sampled:4", "--seed", "3")
+        lf_proc, crlf_proc = run_cli("test", str(pa_traj), *flags), run_cli("test", str(crlf), *flags)
+        assert crlf_proc.returncode == lf_proc.returncode == 0, crlf_proc.stderr
+        assert crlf_proc.stdout == lf_proc.stdout
+
     def test_missing_file_is_error(self):
         proc = run_cli("test", "/nonexistent.traj", "--null-model", "pa", "--D", "1", "--seed", "3")
         assert proc.returncode == 2
@@ -212,6 +231,23 @@ class TestExperimentCommand:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error:") and "whitespace" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"replications": None},
+        {"null_model": {"kind": "pa", "m": "x"}},
+        {"test_config": [1]},
+    ], ids=["not-object", "replications-null", "m-string", "test-config-list"])
+    def test_bad_config_type_is_usage_error(self, tmp_path, config):
+        if isinstance(config, dict):
+            config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                      "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
         assert proc.stdout == ""
 
     def test_missing_experiment_is_error(self):
