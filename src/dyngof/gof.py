@@ -78,6 +78,7 @@ class TestConfig:
 class StatisticResult(NamedTuple):
     S: float
     per_probe_tv: list[float]
+    kept: int  # sum over probes of the in-window choices kept, D_r
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,7 @@ class TestReport:
     radius_estimate: float
     radius_std: float
     seed: int
+    kept_fraction: float  # share of the M*C*m in-window choices the statistic kept
 
     def to_json(self) -> str:
         return json.dumps(
@@ -114,6 +116,7 @@ class TestReport:
                 "radius_mean": self.radius_estimate,
                 "radius_std": self.radius_std,
                 "seed": self.seed,
+                "kept_fraction": self.kept_fraction,
             }
         )
 
@@ -121,11 +124,12 @@ class TestReport:
 def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> StatisticResult:
     """Sum of per-probe TV distances against the null model.
 
-    sampling.probe_tvs gives every probe's TV in batched numpy passes,
-    bit-identical to tv_distance(empirical_measure(...), step_distribution(...))
-    on the replayed state; it costs one sort of the (n-1)*m choices plus one
-    sort per window. No window is empty: arrival r's own m choices lie in
-    {1, ..., r-1}. S adds the values in probe order.
+    sampling.probe_tvs gives every probe's TV and kept count D_r in batched
+    numpy passes, equal up to rounding to tv_distance(empirical_measure(...),
+    step_distribution(...)) on the replayed state; it costs one sort of the
+    (n-1)*m choices plus O(width*m) per distinct probe, with no sort per
+    window. No window is empty: arrival r's own m choices lie in
+    {1, ..., r-1}. S adds the values in probe order; kept is the sum of D_r.
     """
     if null_model.m != traj.m:
         raise ValueError("null model and trajectory disagree on edges per arrival")
@@ -133,8 +137,9 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
         raise ValueError("infeasible plan: window runs past the trajectory")
     # numpy scalars, so sum() adds them plainly left to right (Python 3.12+
     # compensates only sums of exact floats).
-    per_probe = list(probe_tvs(traj, null_model, plan))
-    return StatisticResult(S=float(sum(per_probe)), per_probe_tv=per_probe)
+    tvs, kept = probe_tvs(traj, null_model, plan)
+    per_probe = list(tvs)
+    return StatisticResult(S=float(sum(per_probe)), per_probe_tv=per_probe, kept=int(kept.sum()))
 
 
 def statistic_samples(
@@ -281,6 +286,7 @@ def test_dynamic_graph(traj: Trajectory, cfg: TestConfig, seed: int | None = Non
         radius_estimate=radius_mean,
         radius_std=radius_std,
         seed=seed,
+        kept_fraction=stat.kept / (plan.count * plan.width * traj.m),
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -58,6 +59,13 @@ class Table(NamedTuple):
     rows: list[list]
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float, string or bool raises ValueError rather than truncating."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -71,7 +79,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(_integer("n_values", n) for n in self.n_values))
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -402,7 +411,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
             null_model=model_from_dict(d["null_model"]),
             alt_model=model_from_dict(alt) if alt else None,
             n_values=tuple(d["n_values"]),
-            replications=int(d["replications"]),
+            replications=d["replications"],
             test_config=test_config_from_dict(d["test_config"]),
             output_path=d.get("output_path", ""),
         )

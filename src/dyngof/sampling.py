@@ -6,9 +6,9 @@ conditional distribution, discarding choices that land outside the
 vertices {1, ..., t-1} alive before the window. The resulting sparse
 empirical measure is compared against a model's conditional distribution
 in total variation. empirical_measure and tv_distance are the
-single-probe definitions; probe_tvs computes every probe of a plan with
-the same bits in a few batched numpy passes, and is what the statistic
-calls.
+single-probe definitions; probe_tvs computes every probe of a plan in a
+few batched numpy passes from an identity that needs no per-window sort,
+equal to them up to rounding, and is what the statistic calls.
 
 Also provides the pair-counting representation of TV between two discrete
 measures: group domain elements by their (p, q) probability pair and sum
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import ModelSpec, ProbVector, Trajectory
 
-# Window elements gathered per batch of probes in probe_tvs. It bounds the
-# kernel's working memory at a few times this many words whatever n is; a
+# Window elements gathered per batch of probes in probe_tvs. It bounds a
+# batch's working memory at a few times this many words whatever n is; a
 # batch holds at least one probe, so a wider window makes a batch of one.
 BATCH_ELEMENTS = 4096
 
@@ -135,57 +136,55 @@ def tv_distance(emp: EmpiricalMeasure, model_probs: ProbVector) -> float:
     return min(max(0.5 * acc, 0.0), 1.0)
 
 
-def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> np.ndarray:
-    """TV distance of every probe of the plan, without per-probe dicts.
+def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.ndarray, np.ndarray]:
+    """TV distance and kept count D_r of every probe of the plan.
 
-    Entry k has the bits of tv_distance(empirical_measure(traj, r, width),
-    step_distribution(model, replay(traj, r - 1))) for r = plan.points[k]:
-    the same support in ascending v, the same float operations and the
-    same left-to-right sum. The plan must be feasible for traj.
+    Entry k is tv_distance(empirical_measure(traj, r, width),
+    step_distribution(model, replay(traj, r - 1))) for r = plan.points[k],
+    up to rounding, and that measure's denom. Both measures sum to one on
+    {1, ..., r-1}, so with c_v the window count of v and w_v =
+    attachment_probability(deg_v, 1) = (r-1) * p_v, the TV is
+    sum_v max(c_v - lam * w_v, 0) / D_r, lam = D_r / (r-1), over the
+    vertices the window hits. The plan must be feasible for traj.
     """
-    n, m, choices = traj.n, traj.m, traj.choices
-    size = plan.width * m  # choices per window
-    # deg_{r-1}(v) = base + #hits on v in rows 0..r-3. With keys v*n + row
-    # sorted once, that count is searchsorted(keys, v*n + r-2) minus the
-    # first index of v's keys; lead[v] holds base minus that index.
-    keys = np.sort((choices * n + np.arange(n - 1)[:, None]).ravel())
-    lead = m - np.searchsorted(keys, np.arange(n) * n)
-    lead[1] += m
-    offsets = np.arange(plan.width)
+    n, m, width = traj.n, traj.m, plan.width
+    total, size = (n - 1) * m, width * m  # choices in all and per window
+    flat = traj.choices.ravel()
+    # Element e = row*m + j, ordered by target and then by time: key v*total + e.
+    key = np.sort(flat * total + np.arange(total))
+    target, order = np.divmod(key, total)
+    row = order // m
+    rank = np.arange(total) - np.searchsorted(target, target)  # earlier hits on the target
+    # prev is the row of the previous hit on the target, or its birth row
+    # v - 2 (vertex 1's is -1). In the window at row s = r - 2 an element is
+    # its target's first kept hit exactly when prev < s, which covers
+    # v <= r - 1 too; it is the only one unless the next hit, at row after,
+    # comes before s + width, that is unless crowded < s as well.
+    prev = np.where(rank == 0, target - 2, np.concatenate(([0], row[:-1])))
+    after = np.where(np.append(rank[1:] == 0, True), n, np.concatenate((row[1:], [n])))
+    # A first kept hit sees deg_{r-1}(v): the base degree plus the hits before it.
+    weight = model.attachment_probability(rank + np.where(target == 1, 2 * m, m), 1)
+    pos = np.empty_like(order)  # each element's sorted position
+    pos[order] = np.arange(total)
+    # Back in time order; row s of a view is the window starting at row s.
+    prev_w, crowded_w, weight_w = (
+        sliding_window_view(a[pos], size)[::m] for a in (prev, np.maximum(prev, after - width), weight)
+    )
+    starts, inverse = np.unique(plan.points - 2, return_inverse=True)
     step = max(1, BATCH_ELEMENTS // size)
-    out = np.empty(plan.count)
-    for lo in range(0, plan.count, step):
-        r = plan.points[lo : lo + step]
-        b = r.size
-        win = choices[r[:, None] - 2 + offsets].reshape(b, size)
-        inside = win < r[:, None]
-        denom = np.count_nonzero(inside, axis=1)
-        win[~inside] = n  # sentinel above every kept target
-        win.sort(axis=1)
-        # Runs of equal targets in each sorted row: starts, lengths, values.
-        flat = win.ravel()
-        edge = np.empty(flat.size + 1, dtype=bool)
-        edge[-1] = True
-        np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
-        edge[:-1:size] = True
-        edges = np.flatnonzero(edge)
-        starts = edges[:-1]
-        v = flat[starts]
-        kept = v < n
-        starts, v = starts[kept], v[kept]
-        counts = edges[1:][kept] - starts
-        row = starts // size
-        t = r[row] - 1
-        p = model.attachment_probability(lead[v] + np.searchsorted(keys, v * n + t - 1), t)
-        # Row k holds 1, then each run's term at its sorted position, zeros
-        # elsewhere. accumulate adds strictly left to right, as tv_distance
-        # does; add.reduce may sum pairwise and change the last bits.
-        terms = np.zeros((b, size + 1))
-        terms[:, 0] = 1.0
-        terms.ravel()[starts + row + 1] = np.abs(counts / denom[row] - p) - p
-        acc = np.add.accumulate(terms, axis=1)[:, -1]
-        out[lo : lo + b] = np.minimum(np.maximum(0.5 * acc, 0.0), 1.0)
-    return out
+    tv, kept = np.empty(starts.size), np.empty(starts.size)
+    for lo in range(0, starts.size, step):
+        s = starts[lo : lo + step]
+        count = (prev_w[s] < s[:, None]).astype(np.float64)
+        # A crowded first hit counts its target's hits up to the window's end.
+        i, k = np.divmod(np.flatnonzero(crowded_w[s] < s[:, None]), size)
+        e = s[i] * m + k
+        count[i, k] = np.searchsorted(key, flat[e] * total + (s[i] + width) * m) - pos[e]
+        denom = count.sum(axis=1)  # D_r, exact in float64
+        terms = np.maximum(count - (denom / (s + 1))[:, None] * weight_w[s], 0.0)
+        tv[lo : lo + s.size] = terms.sum(axis=1) / denom
+        kept[lo : lo + s.size] = denom
+    return tv[inverse], kept[inverse].astype(np.int64)
 
 
 def tv_dense(p: ProbVector, q: ProbVector) -> float:

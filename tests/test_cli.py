@@ -59,7 +59,7 @@ class TestTestCommand:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert list(doc) == ["S", "alpha", "decision", "M", "C",
-                             "radius_mean", "radius_std", "seed"]
+                             "radius_mean", "radius_std", "seed", "kept_fraction"]
         assert doc["decision"] == 0
         assert doc["alpha"] == doc["radius_mean"] + 25.0
 
@@ -238,7 +238,12 @@ class TestExperimentCommand:
         {"replications": None},
         {"null_model": {"kind": "pa", "m": "x"}},
         {"test_config": [1]},
-    ], ids=["not-object", "replications-null", "m-string", "test-config-list"])
+        {"n_values": [20.7]},
+        {"n_values": ["40"]},
+        {"replications": 2.9},
+        {"replications": "3"},
+    ], ids=["not-object", "replications-null", "m-string", "test-config-list", "n-values-float",
+            "n-values-string", "replications-float", "replications-string"])
     def test_bad_config_type_is_usage_error(self, tmp_path, config):
         if isinstance(config, dict):
             config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},

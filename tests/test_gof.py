@@ -73,7 +73,7 @@ class TestTestStatistic:
         for r, got in zip(plan.points, result.per_probe_tv):
             probs = step_distribution(PA, replay(traj, int(r) - 1))
             emp = empirical_measure(traj, int(r), plan.width)
-            assert got == tv_distance(emp, probs)
+            assert got == pytest.approx(tv_distance(emp, probs), rel=1e-12, abs=1e-15)
 
     def test_infeasible_plan_rejected(self):
         traj = sample_trajectory(PA, 20, seed=1)
@@ -233,10 +233,13 @@ class TestTestDynamicGraph:
     def test_json_shape(self):
         traj = sample_trajectory(PA, 100, seed=3)
         cfg = TestConfig(null_model=PA, D=1.0, alpha_mode=FixedAlpha(5.0), seed=21)
-        doc = json.loads(test_dynamic_graph(traj, cfg).to_json())
+        report = test_dynamic_graph(traj, cfg)
+        doc = json.loads(report.to_json())
         assert list(doc) == [
-            "S", "alpha", "decision", "M", "C", "radius_mean", "radius_std", "seed",
+            "S", "alpha", "decision", "M", "C", "radius_mean", "radius_std", "seed", "kept_fraction",
         ]
+        kept = sum(empirical_measure(traj, int(r), doc["C"]).denom for r in report.probes.points)
+        assert doc["kept_fraction"] == kept / (doc["M"] * doc["C"])
         assert doc["M"] == cfg.probes_for(100)
         assert doc["C"] == cfg.width_for(100)
         assert doc["seed"] == 21

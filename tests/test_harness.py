@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig
@@ -56,6 +57,19 @@ class TestExperimentConfig:
             base_config(EXPERIMENT_SUCCESS, n_values=())
         with pytest.raises(ValueError):
             base_config(EXPERIMENT_SUCCESS, n_values=(90, 60))
+
+    @pytest.mark.parametrize("field", [
+        {"n_values": (60, 90.5)}, {"n_values": (60.0,)}, {"n_values": ("60",)}, {"n_values": (True,)},
+        {"replications": 4.0}, {"replications": "4"}, {"replications": True},
+    ], ids=str)
+    def test_rejects_non_integer_sizes(self, field):
+        with pytest.raises(ValueError, match="expected an integer"):
+            base_config(EXPERIMENT_SUCCESS, **field)
+
+    def test_accepts_numpy_integers(self):
+        cfg = base_config(EXPERIMENT_SUCCESS, n_values=np.array([60, 90]), replications=np.int64(4))
+        assert cfg == base_config(EXPERIMENT_SUCCESS)
+        assert type(cfg.replications) is int and all(type(n) is int for n in cfg.n_values)
 
     def test_round_trips_through_dict(self):
         cfg = base_config(EXPERIMENT_SUCCESS, alpha_mode=SampledAlpha(8))

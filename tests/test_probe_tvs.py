@@ -1,10 +1,15 @@
-"""The batched statistic kernel against the per-probe reference.
+"""The batched statistic kernel against the per-probe references.
 
 reference_tvs is the statistic's loop as it was before the kernel: one
 incremental replay, then step_distribution, empirical_measure and
-tv_distance at each probe. probe_tvs and test_statistic must reproduce
-its per-probe values and S bit for bit.
+tv_distance at each probe. The kernel sums max(c_v - lam*w_v, 0) instead
+of tv_distance's |q_v - p_v| - p_v, in another order, so its per-probe
+values match the reference to RTOL and its kept counts match exactly. For
+m = 1 the rational oracle gives exact values, which the kernel matches to
+ORACLE_RTOL.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +24,11 @@ from dyngof.models import (
     step_distribution,
     uniform_attach,
 )
+from dyngof.oracle import _exact_probe_tv
 from dyngof.sampling import ProbePlan, empirical_measure, probe_tvs, sample_probe_points, tv_distance
+
+RTOL, ATOL = 1e-12, 1e-15
+ORACLE_RTOL = 1e-13
 
 
 def reference_tvs(traj, model, plan):
@@ -42,11 +51,16 @@ def bits(values):
 
 
 def assert_matches_reference(traj, model, plan):
+    tvs, kept = probe_tvs(traj, model, plan)
     want = reference_tvs(traj, model, plan)
-    np.testing.assert_array_equal(bits(probe_tvs(traj, model, plan)), bits(want))
+    np.testing.assert_allclose(tvs, want, rtol=RTOL, atol=ATOL)
+    denoms = [empirical_measure(traj, int(r), plan.width).denom for r in plan.points]
+    np.testing.assert_array_equal(kept, denoms)
     result = test_statistic(traj, model, plan)
-    np.testing.assert_array_equal(bits(result.per_probe_tv), bits(want))
-    assert result.S.hex() == float(sum(want)).hex()
+    np.testing.assert_array_equal(bits(result.per_probe_tv), bits(tvs))
+    assert result.S.hex() == float(sum(tvs)).hex()
+    assert result.S == pytest.approx(math.fsum(want), rel=RTOL, abs=ATOL)
+    assert result.kept == sum(denoms)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -64,9 +78,13 @@ def test_fuzzed_plans_match_reference(m, case):
 @pytest.mark.parametrize("budget", [1, 7, 64, 1000])
 @pytest.mark.parametrize("model", models(2), ids=lambda model: model.label)
 def test_batch_budget_does_not_change_bits(budget, model, monkeypatch):
-    monkeypatch.setattr(sampling, "BATCH_ELEMENTS", budget)
     traj = sample_trajectory(affine_pref_attach(1.0, 2), 200, seed=budget)
     plan = sample_probe_points(200, 150, 13, np.random.default_rng(budget))
+    tvs, kept = probe_tvs(traj, model, plan)
+    monkeypatch.setattr(sampling, "BATCH_ELEMENTS", budget)
+    batched_tvs, batched_kept = probe_tvs(traj, model, plan)
+    np.testing.assert_array_equal(bits(batched_tvs), bits(tvs))
+    np.testing.assert_array_equal(batched_kept, kept)
     assert_matches_reference(traj, model, plan)
 
 
@@ -84,6 +102,22 @@ def test_repeated_and_extreme_probes():
     plan = ProbePlan(points=np.array([2, 2, 2, 9, 9, 40]), width=10)
     for model in models(3):
         assert_matches_reference(traj, model, plan)
+
+
+@pytest.mark.parametrize("width_kind", range(3), ids=["width-1", "width-n-2", "width-random"])
+@pytest.mark.parametrize("null_kind", range(4), ids=[model.label for model in models(1)])
+def test_fuzzed_plans_match_rational_oracle(null_kind, width_kind):
+    null = models(1)[null_kind]
+    draw = np.random.default_rng([null_kind, width_kind, 31])
+    for gen in models(1):
+        n = int(draw.integers(4, 61))
+        traj = sample_trajectory(gen, n, int(draw.integers(1 << 30)))
+        width = (1, n - 2, int(draw.integers(1, n - 1)))[width_kind]
+        points = sample_probe_points(n, int(draw.integers(1, 60)), width, draw).points
+        plan = ProbePlan(points=np.sort(np.concatenate([points, points[:2]])), width=width)
+        choices = tuple(int(v) for v in traj.choices[:, 0])
+        want = [float(_exact_probe_tv(choices, null, int(r), width)) for r in plan.points]
+        np.testing.assert_allclose(probe_tvs(traj, null, plan)[0], want, rtol=ORACLE_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("model", models(1) + models(3), ids=lambda model: model.label)
