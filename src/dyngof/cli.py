@@ -57,7 +57,7 @@ def _resolve_seed(args) -> int:
 def _alpha_mode(text: str):
     mode, _, value = text.partition(":")
     if mode == "sampled":
-        return SampledAlpha(replications=int(value) if value else 32)
+        return SampledAlpha(int(value)) if value else SampledAlpha()
     if mode == "fixed":
         if not value:
             raise CliError("fixed alpha needs a value, e.g. fixed:12.5")
@@ -90,17 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-model", default="pa", help="pa | uniform | affine-pa")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--D", type=float, required=True)
-    p.add_argument("--width-fraction", type=float, default=0.1)
-    p.add_argument("--probe-fraction", type=float, default=0.5)
-    p.add_argument("--alpha", default="sampled:32", help="sampled:<reps> | fixed:<value>")
+    p.add_argument("--width-fraction", type=float, default=TestConfig.width_fraction)
+    p.add_argument("--probe-fraction", type=float, default=TestConfig.probe_fraction)
+    p.add_argument("--alpha", default="sampled", help="sampled[:<reps>] | fixed:<value>")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("radius", help="estimate a model's expected statistic on itself")
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--replications", type=int, default=32)
-    p.add_argument("--width-fraction", type=float, default=0.1)
-    p.add_argument("--probe-fraction", type=float, default=0.5)
+    p.add_argument("--replications", type=int, default=SampledAlpha.replications)
+    p.add_argument("--width-fraction", type=float, default=TestConfig.width_fraction)
+    p.add_argument("--probe-fraction", type=float, default=TestConfig.probe_fraction)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("distance", help="Monte Carlo estimate of the directed model distance")
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=harness.EXPERIMENTS)
     p.add_argument("--m0", help="null model: pa | uniform | affine-pa")
     p.add_argument("--m1", help="alternative model: pa | uniform | affine-pa")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, default=1)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--n-values", help="comma-separated trajectory lengths")
     p.add_argument("--replications", type=int)
@@ -204,9 +204,9 @@ def _cmd_experiment(args) -> int:
     if args.experiment:
         base["experiment"] = args.experiment
     if args.m0:
-        base["null_model"] = harness.model_to_dict(_model_from_flags(args.m0, args.m or 1, args.a))
+        base["null_model"] = harness.model_to_dict(_model_from_flags(args.m0, args.m, args.a))
     if args.m1:
-        base["alt_model"] = harness.model_to_dict(_model_from_flags(args.m1, args.m or 1, args.a))
+        base["alt_model"] = harness.model_to_dict(_model_from_flags(args.m1, args.m, args.a))
     if args.n_values:
         base["n_values"] = [int(tok) for tok in args.n_values.split(",") if tok]
     if args.replications is not None:
@@ -225,10 +225,7 @@ def _cmd_experiment(args) -> int:
     if args.probe_fraction is not None:
         tc["probe_fraction"] = args.probe_fraction
     if args.alpha:
-        mode = _alpha_mode(args.alpha)
-        tc["alpha_mode"] = ({"mode": "fixed", "radius": mode.radius}
-                            if isinstance(mode, FixedAlpha)
-                            else {"mode": "sampled", "replications": mode.replications})
+        tc["alpha_mode"] = harness.alpha_mode_to_dict(_alpha_mode(args.alpha))
     if args.seed is not None:
         tc["seed"] = args.seed
     elif "seed" not in tc:

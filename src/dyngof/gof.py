@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -189,6 +189,16 @@ def sampling_radius_estimate(
     )
 
 
+def threshold_radius(cfg: TestConfig, n: int, seed: int) -> RadiusEstimate:
+    """The radius cfg.alpha_mode gives at horizon n: fixed, or estimated from seed.
+
+    A FixedAlpha radius is reported with std 0 and 0 replications.
+    """
+    if isinstance(cfg.alpha_mode, FixedAlpha):
+        return RadiusEstimate(mean=cfg.alpha_mode.radius, std=0.0, replications=0, n=n)
+    return sampling_radius_estimate(cfg.null_model, n, cfg, cfg.alpha_mode.replications, seed)
+
+
 def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
     """Half the summed one-step TV between m0 and m1 along one trajectory.
 
@@ -267,32 +277,19 @@ def test_dynamic_graph(traj: Trajectory, cfg: TestConfig, seed: int | None = Non
         raise ValueError("infeasible config: window exceeds horizon")
     plan = sample_probe_points(n, count, width, stream(seed, TAG_PROBES, 0))
     stat = test_statistic(traj, cfg.null_model, plan)
-    if isinstance(cfg.alpha_mode, FixedAlpha):
-        radius_mean = cfg.alpha_mode.radius
-        radius_std = 0.0
-    else:
-        est = sampling_radius_estimate(
-            cfg.null_model, n, cfg, cfg.alpha_mode.replications, derive_seed(seed, TAG_RADIUS)
-        )
-        radius_mean = est.mean
-        radius_std = est.std
-    alpha = radius_mean + cfg.D / 2
+    radius = threshold_radius(cfg, n, derive_seed(seed, TAG_RADIUS))
+    alpha = radius.mean + cfg.D / 2
     return TestReport(
         S=stat.S,
         alpha=alpha,
         decision=int(stat.S > alpha),
         probes=plan,
         per_probe_tv=stat.per_probe_tv,
-        radius_estimate=radius_mean,
-        radius_std=radius_std,
+        radius_estimate=radius.mean,
+        radius_std=radius.std,
         seed=seed,
         kept_fraction=stat.kept / (plan.count * plan.width * traj.m),
     )
-
-
-def with_fixed_radius(cfg: TestConfig, radius: float) -> TestConfig:
-    """cfg with the threshold radius pinned to a precomputed value."""
-    return replace(cfg, alpha_mode=FixedAlpha(radius))
 
 
 # These names start with Test/test but are library API, not test cases.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -26,9 +25,9 @@ from .gof import (
     sampling_radius_estimate,
     statistic_samples,
     test_dynamic_graph,
-    with_fixed_radius,
+    threshold_radius,
 )
-from .models import ModelSpec, replay, sample_trajectory, step_distribution
+from .models import ModelSpec, _integer, replay, sample_trajectory
 from .rng import TAG_EXPERIMENT, TAG_TAIL, derive_seed
 
 EXPERIMENT_SUCCESS = "success-rate"
@@ -57,13 +56,6 @@ MIN_TAIL_BINS = 5
 class Table(NamedTuple):
     header: list[str]
     rows: list[list]
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a float, string or bool raises ValueError rather than truncating."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -120,18 +112,12 @@ class CalibrationResult:
     replications: int
 
 
-def _radius_for(tc: TestConfig, n: int, seed: int) -> RadiusEstimate:
-    if isinstance(tc.alpha_mode, FixedAlpha):
-        return RadiusEstimate(mean=tc.alpha_mode.radius, std=0.0, replications=0, n=n)
-    return sampling_radius_estimate(tc.null_model, n, tc, tc.alpha_mode.replications, seed)
-
-
 def run_success_experiment(cfg: ExperimentConfig) -> Table:
     """Accuracy of the test on trajectories from both hypotheses.
 
     Per n, the threshold radius is estimated once from the null model and
-    shared by all tested trajectories; success combines the per-hypothesis
-    accuracies with equal priors.
+    shared by all tested trajectories, so their reports share the alpha
+    column; success combines the per-hypothesis accuracies with equal priors.
     """
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
@@ -140,9 +126,8 @@ def run_success_experiment(cfg: ExperimentConfig) -> Table:
     header = ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"]
     rows = []
     for k, n in enumerate(cfg.n_values):
-        radius = _radius_for(tc, n, derive_seed(seed, TAG_EXPERIMENT, k, 0))
-        tcn = with_fixed_radius(tc, radius.mean)
-        alpha = radius.mean + tc.D / 2
+        radius = threshold_radius(tc, n, derive_seed(seed, TAG_EXPERIMENT, k, 0))
+        tcn = replace(tc, alpha_mode=FixedAlpha(radius.mean))
         stats = {0: [], 1: []}
         correct = {0: 0, 1: 0}
         for hyp, model in ((0, cfg.null_model), (1, cfg.alt_model)):
@@ -155,7 +140,7 @@ def run_success_experiment(cfg: ExperimentConfig) -> Table:
         acc1 = correct[1] / cfg.replications
         rows.append(
             [n, acc0, acc1, (acc0 + acc1) / 2,
-             float(np.mean(stats[0])), float(np.mean(stats[1])), alpha]
+             float(np.mean(stats[0])), float(np.mean(stats[1])), report.alpha]
         )
     return Table(header, rows)
 
@@ -194,16 +179,18 @@ def tail_exponent_diagnostic(
         raise ValueError("tail diagnostic needs n >= 1000")
     if replications < 1:
         raise ValueError("need at least one replication")
+    # Vertices of equal degree share one probability, so each replication's
+    # spectrum is its distinct probabilities weighted by their vertex counts.
     spectra = []
     for i in range(replications):
         traj = sample_trajectory(model, n, derive_seed(seed, TAG_TAIL, i))
-        state = replay(traj, n - 1)
-        spectra.append(step_distribution(model, state).mass)
-    qmin = min(float(s.min()) for s in spectra)
-    qmax = max(float(s.max()) for s in spectra)
+        degrees, vertices = np.unique(replay(traj, n - 1).degrees, return_counts=True)
+        spectra.append((model.attachment_probability(degrees, n - 1), vertices))
+    qmin = min(float(q.min()) for q, _ in spectra)
+    qmax = max(float(q.max()) for q, _ in spectra)
     if qmin == qmax:
         edges = np.array([qmin * (1 - 1e-9), qmax * (1 + 1e-9)])
-        counts = np.array([float(spectra[0].size)])
+        counts = np.array([float(n - 1)])
         return TailDiagnostic(
             t=n, q_bins=edges, counts=counts,
             fitted_gamma=float("nan"), degenerate=True, populated_tail_bins=0,
@@ -211,7 +198,7 @@ def tail_exponent_diagnostic(
     edges = np.geomspace(qmin, qmax, bins + 1)
     edges[0] *= 1 - 1e-12
     edges[-1] *= 1 + 1e-12
-    counts = np.mean([np.histogram(s, bins=edges)[0] for s in spectra], axis=0)
+    counts = np.mean([np.histogram(q, bins=edges, weights=w)[0] for q, w in spectra], axis=0)
     centers = np.sqrt(edges[:-1] * edges[1:])
     density = counts / np.diff(edges)
     q_fit_min = model.attachment_probability(TAIL_FIT_MIN_DEGREE, n - 1)
@@ -232,8 +219,8 @@ def calibrate_D(
     n: int,
     replications: int,
     seed: int,
-    width_fraction: float = 0.1,
-    probe_fraction: float = 0.5,
+    width_fraction: float = TestConfig.width_fraction,
+    probe_fraction: float = TestConfig.probe_fraction,
 ) -> CalibrationResult:
     """Suggest a separation constant from the measured statistic gap.
 
@@ -359,34 +346,37 @@ def model_from_dict(d: dict) -> ModelSpec:
     return ModelSpec(kind=d["kind"], m=d.get("m", 1), a=d.get("a", 0.0), label=d.get("label", ""))
 
 
+def alpha_mode_to_dict(mode: SampledAlpha | FixedAlpha) -> dict:
+    if isinstance(mode, FixedAlpha):
+        return {"mode": "fixed", "radius": mode.radius}
+    return {"mode": "sampled", "replications": mode.replications}
+
+
 def test_config_to_dict(tc: TestConfig) -> dict:
-    if isinstance(tc.alpha_mode, FixedAlpha):
-        alpha = {"mode": "fixed", "radius": tc.alpha_mode.radius}
-    else:
-        alpha = {"mode": "sampled", "replications": tc.alpha_mode.replications}
     return {
         "null_model": model_to_dict(tc.null_model),
         "D": tc.D,
         "width_fraction": tc.width_fraction,
         "probe_fraction": tc.probe_fraction,
-        "alpha_mode": alpha,
+        "alpha_mode": alpha_mode_to_dict(tc.alpha_mode),
         "seed": tc.seed,
     }
 
 
 def test_config_from_dict(d: dict) -> TestConfig:
-    alpha = d.get("alpha_mode", {"mode": "sampled", "replications": 32})
+    """A missing field takes TestConfig's default; seed and replications must be integers."""
+    alpha = d.get("alpha_mode", {"mode": "sampled"})
     if alpha["mode"] == "fixed":
         mode = FixedAlpha(radius=float(alpha["radius"]))
     else:
-        mode = SampledAlpha(replications=int(alpha.get("replications", 32)))
+        mode = SampledAlpha(_integer("replications", alpha.get("replications", SampledAlpha.replications)))
     return TestConfig(
         null_model=model_from_dict(d["null_model"]),
         D=float(d["D"]),
-        width_fraction=float(d.get("width_fraction", 0.1)),
-        probe_fraction=float(d.get("probe_fraction", 0.5)),
+        width_fraction=float(d.get("width_fraction", TestConfig.width_fraction)),
+        probe_fraction=float(d.get("probe_fraction", TestConfig.probe_fraction)),
         alpha_mode=mode,
-        seed=int(d.get("seed", 0)),
+        seed=_integer("seed", d.get("seed", TestConfig.seed)),
     )
 
 

@@ -24,6 +24,7 @@ public structures; arrays are 0-indexed internally (degrees[v-1]).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,7 +66,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _AFFINE_RULE:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        _check_edges(self.m)
+        object.__setattr__(self, "m", _check_edges(self.m))
         if not 0 <= self.a < math.inf:
             raise ValueError("a must be finite and nonnegative")
         if self.kind != KIND_AFFINE and self.a != 0.0:
@@ -99,19 +100,24 @@ class ModelSpec:
             degrees = degrees + shift
         return degrees / norm
 
-    @property
-    def churn_bound(self) -> int:
-        """Max vertices whose degree changes in one step (2m: m targets + arrival)."""
-        return 2 * self.m
-
 
 class _DerivedLabel(str):
     """A label ModelSpec filled in from its fields rather than one given."""
 
 
-def _check_edges(m: int) -> None:
+def _integer(name: str, value) -> int:
+    """value as an int; a float, string or bool raises ValueError rather than truncating."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _check_edges(m: int) -> int:
+    """m as an int; a non-integral, bool or nonpositive m raises ValueError."""
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    return m
 
 
 def _check_label(label: str) -> None:
@@ -141,10 +147,6 @@ class DegreeState:
 
     t: int
     degrees: np.ndarray
-    total_degree: int
-
-    def copy(self) -> "DegreeState":
-        return DegreeState(self.t, self.degrees.copy(), self.total_degree)
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ class Trajectory:
 
     def __post_init__(self):
         _check_label(self.model_label)
-        _check_edges(self.m)
+        object.__setattr__(self, "m", _check_edges(self.m))
         choices = np.ascontiguousarray(self.choices, dtype=np.int64)
         if choices.shape != (self.n - 1, self.m):
             raise ValueError(f"choices must have shape {(self.n - 1, self.m)}")
@@ -208,11 +210,6 @@ def step_distribution(model: ModelSpec, state: DegreeState) -> ProbVector:
     if t < 1:
         raise ValueError("empty graph")
     return ProbVector(t=t + 1, mass=model.attachment_probability(state.degrees, t))
-
-
-def initial_state(m: int) -> DegreeState:
-    """The one-vertex graph: vertex 1 with m self-loops (degree 2m)."""
-    return DegreeState(t=1, degrees=np.array([2 * m], dtype=np.int64), total_degree=2 * m)
 
 
 class IncrementalReplay:
@@ -239,7 +236,7 @@ class IncrementalReplay:
         self.t = to_t
 
     def state(self) -> DegreeState:
-        return DegreeState(self.t, self._buf[: self.t], 2 * self.traj.m * self.t)
+        return DegreeState(self.t, self._buf[: self.t])
 
 
 def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:

@@ -19,6 +19,7 @@ from .models import KIND_PA, KIND_UNIFORM, ModelSpec
 
 MAX_ORACLE_N = 6
 
+# The functionals the oracle subcommand computes, by its --functional names.
 FUNCTIONAL_TRAJ_PROBS = "traj-probs"
 FUNCTIONAL_EXPECTED_S = "expected-s"
 FUNCTIONAL_DN = "dn"
@@ -132,21 +133,3 @@ def exact_dn(m0: ModelSpec, m1: ModelSpec, n: int) -> Fraction:
             acc += sum(abs(a - b) for a, b in zip(p0, p1)) / 2
         total += prob * acc
     return total / 2
-
-
-def enumeration_oracle(model: ModelSpec, n: int, functional: str, **kwargs):
-    """Dispatch on the named functional.
-
-    traj-probs             -> list of (choices, Fraction probability)
-    expected-s             -> Fraction; kwargs: probes, width, null_model
-    dn                     -> Fraction; kwargs: m1 (the alternative model)
-    """
-    if functional == FUNCTIONAL_TRAJ_PROBS:
-        return enumerate_trajectories(model, n)
-    if functional == FUNCTIONAL_EXPECTED_S:
-        return exact_expected_statistic(
-            model, n, kwargs["probes"], kwargs["width"], kwargs.get("null_model")
-        )
-    if functional == FUNCTIONAL_DN:
-        return exact_dn(model, kwargs["m1"], n)
-    raise ValueError(f"unknown functional {functional!r}")

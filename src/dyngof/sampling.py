@@ -47,12 +47,6 @@ class EmpiricalMeasure:
     counts: dict[int, int]
     denom: int
 
-    def masses(self) -> dict[int, Fraction]:
-        """The measure as exact rationals; requires denom > 0."""
-        if self.denom == 0:
-            raise ValueError("empty empirical measure")
-        return {v: Fraction(c, self.denom) for v, c in self.counts.items()}
-
 
 @dataclass(frozen=True)
 class ProbePlan:
@@ -79,17 +73,6 @@ class ProbePlan:
 
     def feasible_for(self, n: int) -> bool:
         return bool(self.points[-1] + self.width <= n + 1)
-
-
-@dataclass(frozen=True)
-class CountingFunction:
-    """Sparse map (p, q) -> number of domain elements with that pair.
-
-    Keys are exact rationals where the source measure is exact, otherwise
-    floats quantized at 1e-15.
-    """
-
-    entries: dict[tuple, int]
 
 
 def sample_probe_points(n: int, count: int, width: int, rng: np.random.Generator) -> ProbePlan:
@@ -194,25 +177,17 @@ def tv_dense(p: ProbVector, q: ProbVector) -> float:
     return min(max(0.5 * float(np.sum(np.abs(p.mass - q.mass))), 0.0), 1.0)
 
 
-def densify(emp: EmpiricalMeasure) -> ProbVector:
-    """The empirical measure as a dense distribution over {1, ..., t-1}."""
-    if emp.denom == 0:
-        raise ValueError("empty empirical measure")
-    mass = np.zeros(emp.t - 1)
-    for v, c in emp.counts.items():
-        mass[v - 1] = c / emp.denom
-    return ProbVector(t=emp.t, mass=mass)
-
-
 def _quantize(x: float):
     return round(float(x), 15)
 
 
-def counting_function(p, q: ProbVector) -> CountingFunction:
+def counting_function(p, q: ProbVector) -> dict[tuple, int]:
     """Count domain elements by their (p-probability, q-probability) pair.
 
-    p may be a ProbVector or an EmpiricalMeasure on the same domain as q;
-    empirical probabilities are keyed exactly as rationals.
+    p may be a ProbVector or an EmpiricalMeasure on the same domain as q.
+    The result maps each pair to its number of elements; empirical
+    probabilities are keyed exactly as rationals, all others as floats
+    quantized at 1e-15.
     """
     entries: dict[tuple, int] = {}
     if isinstance(p, EmpiricalMeasure):
@@ -229,9 +204,9 @@ def counting_function(p, q: ProbVector) -> CountingFunction:
         for pv, qv in zip(p.mass, q.mass):
             key = (_quantize(pv), _quantize(qv))
             entries[key] = entries.get(key, 0) + 1
-    return CountingFunction(entries=entries)
+    return entries
 
 
-def tv_via_counting(cf: CountingFunction) -> float:
+def tv_via_counting(counts: dict[tuple, int]) -> float:
     """TV distance recovered from the pair-counting representation."""
-    return 0.5 * sum(n * abs(float(p) - float(q)) for (p, q), n in cf.entries.items())
+    return 0.5 * sum(n * abs(float(p) - float(q)) for (p, q), n in counts.items())

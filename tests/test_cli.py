@@ -242,8 +242,12 @@ class TestExperimentCommand:
         {"n_values": ["40"]},
         {"replications": 2.9},
         {"replications": "3"},
+        {"test_config": {"seed": 4.9}},
+        {"test_config": {"seed": 4, "alpha_mode": {"mode": "sampled", "replications": 2.7}}},
+        {"null_model": {"kind": "pa", "m": 1.5}},
     ], ids=["not-object", "replications-null", "m-string", "test-config-list", "n-values-float",
-            "n-values-string", "replications-float", "replications-string"])
+            "n-values-string", "replications-float", "replications-string", "seed-float",
+            "alpha-replications-float", "m-float"])
     def test_bad_config_type_is_usage_error(self, tmp_path, config):
         if isinstance(config, dict):
             config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
@@ -254,6 +258,15 @@ class TestExperimentCommand:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
         assert proc.stdout == ""
+
+    def test_nonpositive_m_flag_is_usage_error(self, tmp_path):
+        proc = run_cli("experiment", "--experiment", "radius-scan", "--m0", "pa", "--m", "0",
+                       "--n-values", "40", "--replications", "3", "--seed", "9",
+                       "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_experiment_is_error(self):
         proc = run_cli("experiment", "--m0", "pa", "--n-values", "50", "--seed", "1")

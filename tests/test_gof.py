@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from dyngof.gof import (
     FixedAlpha,
+    RadiusEstimate,
     SampledAlpha,
     TestConfig,
     dn_estimate,
@@ -13,7 +15,7 @@ from dyngof.gof import (
     statistic_samples,
     test_dynamic_graph,
     test_statistic,
-    with_fixed_radius,
+    threshold_radius,
 )
 from dyngof.models import (
     Trajectory,
@@ -25,7 +27,7 @@ from dyngof.models import (
     uniform_attach,
 )
 from dyngof.oracle import exact_dn, exact_expected_statistic
-from dyngof.rng import derive_seed
+from dyngof.rng import TAG_RADIUS, derive_seed
 from dyngof.sampling import ProbePlan, empirical_measure, tv_dense, tv_distance
 
 PA = pref_attach()
@@ -165,6 +167,16 @@ class TestSamplingRadiusEstimate:
         slope = np.polyfit(np.log([10, 40, 160]), np.log(variances), 1)[0]
         assert -1.45 <= slope <= -0.55
 
+    def test_threshold_radius_follows_alpha_mode(self):
+        fixed = replace(self.CFG, alpha_mode=FixedAlpha(3.5))
+        assert threshold_radius(fixed, 40, seed=5) == RadiusEstimate(mean=3.5, std=0.0, replications=0, n=40)
+        sampled = replace(self.CFG, alpha_mode=SampledAlpha(6))
+        est = threshold_radius(sampled, 40, seed=5)
+        assert est == sampling_radius_estimate(PA, 40, sampled, 6, seed=5)
+        report = test_dynamic_graph(sample_trajectory(PA, 40, seed=2), sampled, seed=9)
+        radius = threshold_radius(sampled, 40, derive_seed(9, TAG_RADIUS))
+        assert (report.radius_estimate, report.radius_std) == (radius.mean, radius.std)
+
 
 class TestDnEstimate:
     def test_identical_models_distance_zero(self):
@@ -244,12 +256,6 @@ class TestTestDynamicGraph:
         assert doc["C"] == cfg.width_for(100)
         assert doc["seed"] == 21
         assert doc["decision"] in (0, 1)
-
-    def test_with_fixed_radius_helper(self):
-        cfg = TestConfig(null_model=PA, D=1.0, seed=0)
-        pinned = with_fixed_radius(cfg, 4.5)
-        assert pinned.alpha_mode == FixedAlpha(4.5)
-        assert pinned.D == cfg.D
 
 
 class TestConcentrationTrend:

@@ -11,8 +11,12 @@ from dyngof.harness import (
     EXPERIMENT_RADIUS_SCAN,
     EXPERIMENT_SUCCESS,
     EXPERIMENT_TAIL,
+    MIN_TAIL_BINS,
+    TAIL_BINS,
+    TAIL_FIT_MIN_DEGREE,
     ExperimentConfig,
     Table,
+    TailDiagnostic,
     calibrate_D,
     experiment_config_from_dict,
     experiment_config_to_dict,
@@ -26,10 +30,35 @@ from dyngof.harness import (
     tail_exponent_diagnostic,
     write_csv,
 )
-from dyngof.models import pref_attach, uniform_attach
+from dyngof.harness import test_config_from_dict as config_from_dict  # renamed: not a test case
+from dyngof.models import affine_pref_attach, pref_attach, replay, sample_trajectory, step_distribution, uniform_attach
+from dyngof.rng import TAG_TAIL, derive_seed
 
 PA = pref_attach()
 UNI = uniform_attach()
+
+
+def reference_tail_diagnostic(model, n, replications, seed, bins=TAIL_BINS):
+    """The tail diagnostic from one per-vertex step_distribution per replication."""
+    spectra = []
+    for i in range(replications):
+        traj = sample_trajectory(model, n, derive_seed(seed, TAG_TAIL, i))
+        spectra.append(step_distribution(model, replay(traj, n - 1)).mass)
+    qmin = min(float(s.min()) for s in spectra)
+    qmax = max(float(s.max()) for s in spectra)
+    if qmin == qmax:
+        edges = np.array([qmin * (1 - 1e-9), qmax * (1 + 1e-9)])
+        return TailDiagnostic(n, edges, np.array([float(spectra[0].size)]), float("nan"), True, 0)
+    edges = np.geomspace(qmin, qmax, bins + 1)
+    edges[0] *= 1 - 1e-12
+    edges[-1] *= 1 + 1e-12
+    counts = np.mean([np.histogram(s, bins=edges)[0] for s in spectra], axis=0)
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    density = counts / np.diff(edges)
+    sel = (centers >= model.attachment_probability(TAIL_FIT_MIN_DEGREE, n - 1)) & (counts > 0)
+    assert np.count_nonzero(sel) >= MIN_TAIL_BINS
+    slope = float(np.polyfit(np.log(centers[sel]), np.log(density[sel]), 1)[0])
+    return TailDiagnostic(n, edges, counts, slope, False, int(np.count_nonzero(sel)))
 
 
 def base_config(experiment, *, n_values=(60, 90), replications=4, alt=UNI,
@@ -74,6 +103,18 @@ class TestExperimentConfig:
     def test_round_trips_through_dict(self):
         cfg = base_config(EXPERIMENT_SUCCESS, alpha_mode=SampledAlpha(8))
         assert experiment_config_from_dict(experiment_config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("field", [
+        {"seed": 4.9}, {"seed": "4"}, {"seed": True},
+        {"alpha_mode": {"mode": "sampled", "replications": 2.7}},
+        {"alpha_mode": {"mode": "sampled", "replications": "8"}},
+    ], ids=str)
+    def test_test_config_rejects_non_integer_fields(self, field):
+        with pytest.raises(ValueError, match="expected an integer"):
+            config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0, **field})
+
+    def test_test_config_defaults_are_test_config_defaults(self):
+        assert config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0}) == TestConfig(null_model=PA, D=1.0)
 
     def test_fixed_alpha_round_trips(self):
         cfg = base_config(EXPERIMENT_CONCENTRATION, replications=12)
@@ -135,6 +176,17 @@ class TestTailDiagnostic:
     def test_counts_account_for_every_vertex(self):
         diag = tail_exponent_diagnostic(PA, 2000, 3, seed=3)
         assert diag.counts.sum() == pytest.approx(2000 - 1)
+
+    @pytest.mark.parametrize("args", [
+        (PA, 1500, 2, 1), (PA, 2000, 3, 3), (PA, 4000, 3, 4),
+        (affine_pref_attach(0.5, m=2), 3000, 3, 2), (uniform_attach(m=2), 1200, 2, 6), (UNI, 1500, 1, 2),
+    ], ids=str)
+    def test_matches_per_vertex_reference(self, args):
+        diag, ref = tail_exponent_diagnostic(*args), reference_tail_diagnostic(*args)
+        assert diag.q_bins.tobytes() == ref.q_bins.tobytes()
+        assert diag.counts.tobytes() == ref.counts.tobytes()
+        assert np.float64(diag.fitted_gamma).tobytes() == np.float64(ref.fitted_gamma).tobytes()
+        assert (diag.t, diag.degenerate, diag.populated_tail_bins) == (ref.t, ref.degenerate, ref.populated_tail_bins)
 
     def test_pa_small_scale_fit(self):
         diag = tail_exponent_diagnostic(PA, 4000, 3, seed=4)

@@ -11,7 +11,6 @@ from dyngof.models import (
     ProbVector,
     Trajectory,
     affine_pref_attach,
-    initial_state,
     pref_attach,
     read_trajectory,
     replay,
@@ -26,7 +25,7 @@ ALL_MODELS = [pref_attach(), uniform_attach(), affine_pref_attach(1.0)]
 
 def state_with(degrees):
     arr = np.asarray(degrees, dtype=np.int64)
-    return DegreeState(t=len(arr), degrees=arr, total_degree=int(arr.sum()))
+    return DegreeState(t=len(arr), degrees=arr)
 
 
 def reference_degrees(traj, t):
@@ -41,7 +40,7 @@ def reference_degrees(traj, t):
 
 class TestStepDistribution:
     def test_single_vertex_takes_all_mass(self):
-        probs = step_distribution(pref_attach(), initial_state(1))
+        probs = step_distribution(pref_attach(), state_with([2]))
         assert probs.t == 2
         np.testing.assert_array_equal(probs.mass, [1.0])
 
@@ -59,7 +58,7 @@ class TestStepDistribution:
         np.testing.assert_allclose(probs.mass, [4 / 6, 2 / 6])
 
     def test_empty_graph_rejected(self):
-        empty = DegreeState(t=0, degrees=np.array([], dtype=np.int64), total_degree=0)
+        empty = DegreeState(t=0, degrees=np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="empty graph"):
             step_distribution(pref_attach(), empty)
 
@@ -215,7 +214,6 @@ class TestReplay:
         for t in (1, 2, 25, 50):
             state = replay(traj, t)
             assert state.degrees.tolist() == reference_degrees(traj, t)
-            assert state.total_degree == 2 * m * t
             assert int(state.degrees.sum()) == 2 * m * t
             if model.kind == "pa":
                 assert np.all(state.degrees >= 1)
@@ -237,7 +235,7 @@ class TestReplay:
             assert state.t == expected.t
             np.testing.assert_array_equal(state.degrees, expected.degrees)
             assert state.degrees.tolist() == reference_degrees(traj, t)
-            assert state.total_degree == expected.total_degree == 2 * traj.m * t
+            assert int(state.degrees.sum()) == 2 * traj.m * t
 
     @pytest.mark.parametrize("case", range(30))
     def test_fuzzed_replays_match_per_arrival_reference(self, case):
@@ -254,7 +252,6 @@ class TestReplay:
             for state in (scan.state(), replay(traj, t)):
                 assert state.t == t
                 assert state.degrees.tolist() == expected
-                assert state.total_degree == 2 * m * t
                 assert int(state.degrees.sum()) == 2 * m * t
 
 
@@ -284,11 +281,6 @@ class TestPaExactness:
 
 
 class TestModelSpec:
-    def test_class_membership_metadata(self):
-        for model in ALL_MODELS:
-            assert model.churn_bound == 2 * model.m
-        assert pref_attach(m=4).churn_bound == 8
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ModelSpec("pa", m=0)
@@ -299,6 +291,20 @@ class TestModelSpec:
                 ModelSpec("affine-pa", a=a)
         with pytest.raises(ValueError):
             ModelSpec("nonsense")
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "2", None])
+    def test_rejects_non_integral_m(self, m):
+        with pytest.raises(ValueError, match="expected an integer"):
+            ModelSpec("pa", m=m)
+        with pytest.raises(ValueError, match="expected an integer"):
+            Trajectory(3, m, np.ones((2, 1), dtype=np.int64), "x", 0)
+
+    def test_numpy_integer_m_is_stored_as_int(self):
+        model = ModelSpec("pa", m=np.int64(2))
+        assert model == pref_attach(2) and type(model.m) is int
+        traj = Trajectory(3, np.int64(2), np.ones((2, 2), dtype=np.int64), "x", 0)
+        assert type(traj.m) is int
+        assert sample_trajectory(model, 5, seed=0).choices.shape == (4, 2)
 
     def test_replace_rederives_default_label(self):
         assert dataclasses.replace(pref_attach(1), m=3).label == "pa(m=3)"

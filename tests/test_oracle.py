@@ -3,17 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dyngof import cli
 from dyngof.gof import test_statistic
 from dyngof.models import Trajectory, affine_pref_attach, pref_attach, uniform_attach
-from dyngof.oracle import (
-    FUNCTIONAL_DN,
-    FUNCTIONAL_EXPECTED_S,
-    FUNCTIONAL_TRAJ_PROBS,
-    enumerate_trajectories,
-    enumeration_oracle,
-    exact_dn,
-    exact_expected_statistic,
-)
+from dyngof.oracle import enumerate_trajectories, exact_dn, exact_expected_statistic
 from dyngof.sampling import ProbePlan
 
 PA = pref_attach()
@@ -96,17 +89,20 @@ class TestExactDn:
 
 
 class TestDispatcher:
+    """The functionals the oracle subcommand dispatches on, and its rejection of others."""
+
     def test_traj_probs(self):
-        listing = enumeration_oracle(PA, 3, FUNCTIONAL_TRAJ_PROBS)
+        listing = enumerate_trajectories(PA, 3)
         assert sum(p for _, p in listing) == 1
 
     def test_expected_s(self):
-        value = enumeration_oracle(PA, 4, FUNCTIONAL_EXPECTED_S, probes=[2, 3], width=2)
+        value = exact_expected_statistic(PA, 4, [2, 3], 2)
         assert value == Fraction(5, 16)
 
     def test_dn(self):
-        assert enumeration_oracle(PA, 3, FUNCTIONAL_DN, m1=UNI) == Fraction(1, 8)
+        assert exact_dn(PA, UNI, 3) == Fraction(1, 8)
 
     def test_unknown_functional(self):
-        with pytest.raises(ValueError, match="unknown functional"):
-            enumeration_oracle(PA, 3, "nope")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--model", "pa", "--n", "3", "--functional", "nope"])
+        assert exc.value.code == 2
