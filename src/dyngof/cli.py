@@ -69,8 +69,8 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc))
 
 
-def _add_model_flags(p, prefix="model"):
-    p.add_argument(f"--{prefix}", required=False, default="pa", help="pa | uniform | affine-pa")
+def _add_model_flags(p):
+    p.add_argument("--model", default="pa", help="pa | uniform | affine-pa")
     p.add_argument("--m", type=int, default=1, help="edges per arriving vertex")
     p.add_argument("--a", type=float, default=1.0, help="degree shift for affine-pa")
 
@@ -142,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 2:
-        raise CliError("n must be at least 2")
     model = _model_from_flags(args.model, args.m, args.a)
     seed = _resolve_seed(args)
     traj = sample_trajectory(model, args.n, seed)
@@ -179,7 +177,7 @@ def _cmd_radius(args) -> int:
     )
     est = sampling_radius_estimate(model, args.n, cfg, args.replications, seed)
     _emit({"mean": est.mean, "std": est.std, "replications": est.replications,
-           "n": est.n, "M": cfg.probes_for(args.n), "C": cfg.width_for(args.n), "seed": seed})
+           "n": args.n, "M": cfg.probes_for(args.n), "C": cfg.width_for(args.n), "seed": seed})
     return 0
 
 

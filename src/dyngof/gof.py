@@ -88,7 +88,6 @@ class RadiusEstimate:
     mean: float
     std: float
     replications: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,10 @@ def statistic_samples(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    width = cfg.width_for(n)
-    count = cfg.probes_for(n)
-    if n < width + 2:
-        raise ValueError("infeasible config: window exceeds horizon")
     values = np.empty(replications)
     for i in range(replications):
+        plan = sample_probe_points(n, cfg.probes_for(n), cfg.width_for(n), stream(seed, TAG_PROBES, i))
         traj = sample_trajectory(gen_model, n, derive_seed(seed, TAG_TRAJECTORY, i))
-        plan = sample_probe_points(n, count, width, stream(seed, TAG_PROBES, i))
         values[i] = test_statistic(traj, null_model, plan).S
     return values
 
@@ -185,7 +180,6 @@ def sampling_radius_estimate(
         mean=float(np.mean(values)),
         std=float(np.std(values, ddof=1)),
         replications=replications,
-        n=n,
     )
 
 
@@ -195,7 +189,7 @@ def threshold_radius(cfg: TestConfig, n: int, seed: int) -> RadiusEstimate:
     A FixedAlpha radius is reported with std 0 and 0 replications.
     """
     if isinstance(cfg.alpha_mode, FixedAlpha):
-        return RadiusEstimate(mean=cfg.alpha_mode.radius, std=0.0, replications=0, n=n)
+        return RadiusEstimate(mean=cfg.alpha_mode.radius, std=0.0, replications=0)
     return sampling_radius_estimate(cfg.null_model, n, cfg, cfg.alpha_mode.replications, seed)
 
 
@@ -271,11 +265,7 @@ def test_dynamic_graph(traj: Trajectory, cfg: TestConfig, seed: int | None = Non
     if seed is None:
         seed = cfg.seed
     n = traj.n
-    width = cfg.width_for(n)
-    count = cfg.probes_for(n)
-    if n < width + 2:
-        raise ValueError("infeasible config: window exceeds horizon")
-    plan = sample_probe_points(n, count, width, stream(seed, TAG_PROBES, 0))
+    plan = sample_probe_points(n, cfg.probes_for(n), cfg.width_for(n), stream(seed, TAG_PROBES, 0))
     stat = test_statistic(traj, cfg.null_model, plan)
     radius = threshold_radius(cfg, n, derive_seed(seed, TAG_RADIUS))
     alpha = radius.mean + cfg.D / 2

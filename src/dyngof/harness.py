@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("n_values must be increasing")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        # The runs test against null_model, so the test config records it too.
+        object.__setattr__(self, "test_config", replace(self.test_config, null_model=self.null_model))
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,6 @@ class CalibrationResult:
     radius_alt: RadiusEstimate
     cross_mean: float
     dn: float
-    n: int
-    replications: int
 
 
 def run_success_experiment(cfg: ExperimentConfig) -> Table:
@@ -121,7 +121,7 @@ def run_success_experiment(cfg: ExperimentConfig) -> Table:
     """
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
-    tc = replace(cfg.test_config, null_model=cfg.null_model)
+    tc = cfg.test_config
     seed = tc.seed
     header = ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"]
     rows = []
@@ -149,7 +149,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
     """Spread of the statistic under the null model across trajectory lengths."""
     if cfg.replications < 10:
         raise ValueError("concentration needs at least 10 replications")
-    tc = replace(cfg.test_config, null_model=cfg.null_model)
+    tc = cfg.test_config
     header = ["n", "mean_S", "std_S", "cv"] + [f"exceed_{c:g}" for c in EXCEEDANCE_LEVELS]
     rows = []
     for k, n in enumerate(cfg.n_values):
@@ -252,8 +252,6 @@ def calibrate_D(
         radius_alt=radius_alt,
         cross_mean=cross_mean,
         dn=dn,
-        n=n,
-        replications=replications,
     )
 
 
@@ -269,7 +267,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> Table:
 
 
 def run_radius_scan(cfg: ExperimentConfig) -> Table:
-    tc = replace(cfg.test_config, null_model=cfg.null_model)
+    tc = cfg.test_config
     header = ["n", "radius_mean", "radius_std", "replications"]
     rows = []
     for k, n in enumerate(cfg.n_values):
@@ -283,7 +281,7 @@ def run_radius_scan(cfg: ExperimentConfig) -> Table:
 def run_calibration_experiment(cfg: ExperimentConfig) -> Table:
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
-    tc = replace(cfg.test_config, null_model=cfg.null_model)
+    tc = cfg.test_config
     header = ["n", "D_suggested", "radius_M0_mean", "radius_M0_std",
               "radius_M1_mean", "radius_M1_std", "cross_mean", "dn"]
     rows = []

@@ -192,10 +192,9 @@ class Trajectory:
         choices = np.ascontiguousarray(self.choices, dtype=np.int64)
         if choices.shape != (self.n - 1, self.m):
             raise ValueError(f"choices must have shape {(self.n - 1, self.m)}")
-        if self.n - 1 > 0:
-            upper = np.arange(1, self.n, dtype=np.int64)[:, None]  # t-1 per row
-            if np.any(choices < 1) or np.any(choices > upper):
-                raise ValueError("choice targets must lie in {1, ..., t-1}")
+        upper = np.arange(1, self.n, dtype=np.int64)[:, None]  # t-1 per row
+        if np.any(choices < 1) or np.any(choices > upper):
+            raise ValueError("choice targets must lie in {1, ..., t-1}")
         choices.setflags(write=False)
         object.__setattr__(self, "choices", choices)
 

@@ -75,7 +75,10 @@ def _degrees_at(choices: tuple[int, ...], t: int) -> list[int]:
 def _exact_probe_tv(
     choices: tuple[int, ...], null_model: ModelSpec, r: int, width: int
 ) -> Fraction:
-    """TV between the window-[r, r+width) empirical measure and the null conditional."""
+    """TV between the window-[r, r+width) empirical measure and the null conditional.
+
+    The window is never empty: arrival r's own choice lies in {1, ..., r-1}.
+    """
     counts = [0] * (r - 1)
     denom = 0
     for h in range(r, r + width):
@@ -83,8 +86,6 @@ def _exact_probe_tv(
         if v <= r - 1:
             counts[v - 1] += 1
             denom += 1
-    if denom == 0:
-        return Fraction(1)
     probs = _exact_step_probs(null_model, _degrees_at(choices, r - 1))
     total = sum(abs(Fraction(c, denom) - p) for c, p in zip(counts, probs))
     return total / 2
@@ -111,6 +112,8 @@ def exact_expected_statistic(
     for r in probes:
         if r < 2 or r + width > n + 1:
             raise ValueError(f"probe {r} with width {width} does not fit in n={n}")
+    if width < 1:
+        raise ValueError("width must be positive")
     total = Fraction(0)
     for choices, prob in enumerate_trajectories(model, n):
         stat = sum(_exact_probe_tv(choices, null_model, r, width) for r in probes)

@@ -81,16 +81,18 @@ def sample_probe_points(n: int, count: int, width: int, rng: np.random.Generator
     The range is clipped so every window [r, r+width) fits inside the
     trajectory.
     """
+    if n < width + 2:
+        raise ValueError("infeasible config: window exceeds horizon")
     if count < 1:
         raise ValueError("need at least one probe point")
-    if n < width + 2:
-        raise ValueError("window exceeds horizon")
     points = np.sort(rng.integers(2, n + 2 - width, size=count))
     return ProbePlan(points=points, width=width)
 
 
 def empirical_measure(traj: Trajectory, t: int, width: int) -> EmpiricalMeasure:
     """Empirical measure over the window of arrivals h in [t, t+width)."""
+    if width < 1:
+        raise ValueError("width must be positive")
     if t < 2 or t + width > traj.n + 1:
         raise ValueError("window out of range")
     flat = traj.choices[t - 2 : t - 2 + width].ravel()
@@ -189,18 +191,16 @@ def counting_function(p, q: ProbVector) -> dict[tuple, int]:
     probabilities are keyed exactly as rationals, all others as floats
     quantized at 1e-15.
     """
+    if p.t != q.t:
+        raise ValueError(f"domain mismatch: {p.t} vs {q.t}")
     entries: dict[tuple, int] = {}
     if isinstance(p, EmpiricalMeasure):
-        if p.t != q.t:
-            raise ValueError(f"domain mismatch: {p.t} vs {q.t}")
         if p.denom == 0:
             raise ValueError("empty empirical measure")
         for v in range(1, q.t):
             key = (Fraction(p.counts.get(v, 0), p.denom), _quantize(q.mass[v - 1]))
             entries[key] = entries.get(key, 0) + 1
     else:
-        if p.t != q.t:
-            raise ValueError(f"domain mismatch: {p.t} vs {q.t}")
         for pv, qv in zip(p.mass, q.mass):
             key = (_quantize(pv), _quantize(qv))
             entries[key] = entries.get(key, 0) + 1

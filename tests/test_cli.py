@@ -184,6 +184,14 @@ class TestOracleCommand:
         proc = run_cli("oracle", "--model", "pa", "--n", "9", "--functional", "traj-probs")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_nonpositive_width_is_usage_error(self, width):
+        proc = run_cli("oracle", "--model", "pa", "--n", "4", "--functional", "expected-s",
+                       "--probes", "2,3", "--width", width)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: width must be positive\n"
+        assert proc.stdout == ""
+
 
 class TestExperimentCommand:
     def test_radius_scan_via_flags(self, tmp_path):
@@ -216,6 +224,30 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((tmp_path / "conc.json").read_text())
         assert manifest["experiment_config"]["replications"] == 12
+
+    def test_manifest_records_the_null_model_the_run_used(self, tmp_path):
+        # The run tests against the top-level null model, whatever test_config names.
+        config = {
+            "experiment": "success-rate",
+            "null_model": {"kind": "pa", "m": 1, "a": 0.0},
+            "alt_model": {"kind": "uniform", "m": 1, "a": 0.0},
+            "n_values": [40],
+            "replications": 3,
+            "test_config": {"D": 1.0, "alpha_mode": {"mode": "sampled", "replications": 2}, "seed": 4},
+        }
+        tables = {}
+        for kind in ("pa", "uniform"):
+            config["test_config"]["null_model"] = {"kind": kind, "m": 1, "a": 0.0}
+            cfg_path = tmp_path / f"{kind}.cfg"
+            cfg_path.write_text(json.dumps(config))
+            out = tmp_path / f"{kind}.csv"
+            proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            recorded = json.loads((tmp_path / f"{kind}.json").read_text())["experiment_config"]
+            assert recorded["test_config"]["null_model"] == recorded["null_model"]
+            assert recorded["null_model"]["kind"] == "pa"
+            tables[kind] = out.read_bytes()
+        assert tables["uniform"] == tables["pa"]
 
     def test_label_with_whitespace_is_usage_error(self, tmp_path):
         config = {

@@ -169,7 +169,7 @@ class TestSamplingRadiusEstimate:
 
     def test_threshold_radius_follows_alpha_mode(self):
         fixed = replace(self.CFG, alpha_mode=FixedAlpha(3.5))
-        assert threshold_radius(fixed, 40, seed=5) == RadiusEstimate(mean=3.5, std=0.0, replications=0, n=40)
+        assert threshold_radius(fixed, 40, seed=5) == RadiusEstimate(mean=3.5, std=0.0, replications=0)
         sampled = replace(self.CFG, alpha_mode=SampledAlpha(6))
         est = threshold_radius(sampled, 40, seed=5)
         assert est == sampling_radius_estimate(PA, 40, sampled, 6, seed=5)

@@ -56,6 +56,9 @@ class TestExactExpectedStatistic:
     def test_infeasible_probe_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
             exact_expected_statistic(PA, 4, [4], 2)
+        for width in (0, -1):
+            with pytest.raises(ValueError, match="width must be positive"):
+                exact_expected_statistic(PA, 4, [2, 3], width)
 
     def test_matches_float_path_on_full_space(self):
         # probability-weighted test_statistic over every trajectory must

@@ -117,6 +117,10 @@ class TestEmpiricalMeasure:
             empirical_measure(traj, t=1, width=2)
         with pytest.raises(ValueError):
             empirical_measure(traj, t=3, width=3)
+        # Width 0 would give an empty measure; a negative one would slice rows from the end.
+        for width in (0, -1):
+            with pytest.raises(ValueError, match="width must be positive"):
+                empirical_measure(traj, t=2, width=width)
 
     def test_depends_only_on_window_rows(self):
         a = traj_from([[1], [1], [2], [3]])
