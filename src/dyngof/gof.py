@@ -126,9 +126,11 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     sampling.probe_tvs gives every probe's TV and kept count D_r in batched
     numpy passes, equal up to rounding to tv_distance(empirical_measure(...),
     step_distribution(...)) on the replayed state; it costs one sort of the
-    (n-1)*m choices plus O(width*m) per distinct probe, with no sort per
-    window. No window is empty: arrival r's own m choices lie in
-    {1, ..., r-1}. S adds the values in probe order; kept is the sum of D_r.
+    (n-1)*m choices, O(n*m) for every window's kept count and hit weight,
+    plus O(log(n*m)) per candidate (probe, vertex) pair with lam*w_v > 1,
+    with no sort of or pass over a window. No window is empty: arrival r's
+    own m choices lie in {1, ..., r-1}. S adds the values in probe order;
+    kept is the sum of D_r.
     """
     if null_model.m != traj.m:
         raise ValueError("null model and trajectory disagree on edges per arrival")

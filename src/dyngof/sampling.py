@@ -6,9 +6,12 @@ conditional distribution, discarding choices that land outside the
 vertices {1, ..., t-1} alive before the window. The resulting sparse
 empirical measure is compared against a model's conditional distribution
 in total variation. empirical_measure and tv_distance are the
-single-probe definitions; probe_tvs computes every probe of a plan in a
-few batched numpy passes from an identity that needs no per-window sort,
-equal to them up to rounding, and is what the statistic calls.
+single-probe definitions; probe_tvs computes every probe of a plan from
+the complement of an identity that needs no per-window sort: two
+difference arrays give every window's kept count and hit weight in
+O(n*m), and only the (probe, vertex) pairs that can add a positive part
+are expanded. It equals them up to rounding and is what the statistic
+calls.
 
 Also provides the pair-counting representation of TV between two discrete
 measures: group domain elements by their (p, q) probability pair and sum
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .models import ModelSpec, ProbVector, Trajectory
+from .models import ModelSpec, ProbVector, Trajectory, _integer
 
-# Window elements gathered per batch of probes in probe_tvs. It bounds a
-# batch's working memory at a few times this many words whatever n is; a
-# batch holds at least one probe, so a wider window makes a batch of one.
+# Candidate (probe, vertex) pairs evaluated per batch in probe_tvs. It
+# bounds a batch's working memory at a few times this many words whatever
+# n, the window width or the number of probes is; the rest of the kernel
+# holds O(n*m) words.
 BATCH_ELEMENTS = 4096
 
 
@@ -50,14 +53,19 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class ProbePlan:
-    """Sorted probe times r_1 <= ... <= r_M sharing one window width."""
+    """Sorted integer probe times r_1 <= ... <= r_M sharing one integer window width."""
 
     points: np.ndarray
     width: int
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.int64)
+        # models._integer's rule, by dtype: float, string or bool points raise rather than truncate.
+        points = np.asarray(self.points)
+        if points.size and points.dtype.kind not in "iu":
+            raise ValueError(f"points: expected integers, got {points.dtype} values")
+        points = np.asarray(points, dtype=np.int64)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "width", _integer("width", self.width))
         if points.ndim != 1 or points.size < 1:
             raise ValueError("plan needs at least one probe point")
         if self.width < 1:
@@ -127,49 +135,76 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
     Entry k is tv_distance(empirical_measure(traj, r, width),
     step_distribution(model, replay(traj, r - 1))) for r = plan.points[k],
     up to rounding, and that measure's denom. Both measures sum to one on
-    {1, ..., r-1}, so with c_v the window count of v and w_v =
-    attachment_probability(deg_v, 1) = (r-1) * p_v, the TV is
-    sum_v max(c_v - lam * w_v, 0) / D_r, lam = D_r / (r-1), over the
-    vertices the window hits. The plan must be feasible for traj.
+    {1, ..., r-1}, so with c_v the window count of v, w_v =
+    attachment_probability(deg_v, 1) = (r-1) * p_v and lam = D_r / (r-1),
+    the TV is sum_v max(c_v - lam * w_v, 0) / D_r over the vertices the
+    window hits, which is 1 - W_r / (r-1) + K_r / D_r with W_r = sum_v w_v
+    and K_r = sum_v max(lam * w_v - c_v, 0). D_r and W_r come from two
+    difference arrays; K_r only from the (probe, vertex) pairs with
+    lam * w_v > 1, in batches of BATCH_ELEMENTS pairs. The plan must be
+    feasible for traj.
     """
     n, m, width = traj.n, traj.m, plan.width
-    total, size = (n - 1) * m, width * m  # choices in all and per window
-    flat = traj.choices.ravel()
+    total = (n - 1) * m  # choices in all
     # Element e = row*m + j, ordered by target and then by time: key v*total + e.
-    key = np.sort(flat * total + np.arange(total))
-    target, order = np.divmod(key, total)
-    row = order // m
+    key = np.sort(traj.choices.ravel() * total + np.arange(total))
+    target, row = np.divmod(key, total)
+    row //= m
     rank = np.arange(total) - np.searchsorted(target, target)  # earlier hits on the target
     # prev is the row of the previous hit on the target, or its birth row
-    # v - 2 (vertex 1's is -1). In the window at row s = r - 2 an element is
-    # its target's first kept hit exactly when prev < s, which covers
-    # v <= r - 1 too; it is the only one unless the next hit, at row after,
+    # v - 2 (vertex 1's is -1). The window at row s = r - 2 keeps an element
+    # when v - 1 <= s, and the element is its target's first kept hit exactly
+    # when prev < s; it is the only one unless the next hit, at row after,
     # comes before s + width, that is unless crowded < s as well.
     prev = np.where(rank == 0, target - 2, np.concatenate(([0], row[:-1])))
     after = np.where(np.append(rank[1:] == 0, True), n, np.concatenate((row[1:], [n])))
     # A first kept hit sees deg_{r-1}(v): the base degree plus the hits before it.
     weight = model.attachment_probability(rank + np.where(target == 1, 2 * m, m), 1)
-    pos = np.empty_like(order)  # each element's sorted position
-    pos[order] = np.arange(total)
-    # Back in time order; row s of a view is the window starting at row s.
-    prev_w, crowded_w, weight_w = (
-        sliding_window_view(a[pos], size)[::m] for a in (prev, np.maximum(prev, after - width), weight)
-    )
     starts, inverse = np.unique(plan.points - 2, return_inverse=True)
-    step = max(1, BATCH_ELEMENTS // size)
-    tv, kept = np.empty(starts.size), np.empty(starts.size)
-    for lo in range(0, starts.size, step):
-        s = starts[lo : lo + step]
-        count = (prev_w[s] < s[:, None]).astype(np.float64)
+
+    # Difference arrays over all starts s: an element counts in D_s for s in
+    # [max(row - width + 1, v - 1), row], and as a first hit adds its weight
+    # to W_s for s in [lo, row], lo = max(prev, row - width) + 1.
+    kept_from = np.maximum(row - width + 1, target - 1)
+    kept = np.cumsum(np.bincount(kept_from, minlength=n) - np.bincount(row + 1, minlength=n))[starts]
+    first = np.flatnonzero(prev < row)  # all but repeats of a target within one row
+    lo, w = np.maximum(prev, row - width)[first] + 1, weight[first]
+    hit_mass = np.bincount(lo, w, minlength=n) - np.bincount(row[first] + 1, w, minlength=n)
+    hit_mass = np.cumsum(hit_mass)[starts]
+
+    # A term of K_r is nonzero only where lam * w_v > c_v >= 1, so only if
+    # w_v > (s + 1) / D_s. Its suffix minimum h is nondecreasing, which makes
+    # a first hit's candidate probes one range: [k0, k0 + span).
+    lam = kept / (starts + 1)
+    h = np.minimum.accumulate(((starts + 1) / kept)[::-1])[::-1]
+    below = np.cumsum(np.bincount(starts + 1, minlength=n))  # below[x]: starts less than x
+    k0 = below[lo]
+    span = np.minimum(below[row[first] + 1], np.searchsorted(h, w)) - k0
+    pick = span > 0
+    span, index, w = span[pick], first[pick], w[pick]  # index: a candidate's sorted position
+    ends = np.cumsum(span)  # candidate i owns pairs ends[i] - span[i], ..., ends[i] - 1
+    offset = ends - span - k0[pick]  # pair p of candidate i is probe p - offset[i]
+    crowded = np.maximum(prev, after - width)[index]
+    bound = target[index] * total + width * m
+    excess = np.zeros(starts.size)  # K_r
+    pairs = int(span.sum())
+    for p0 in range(0, pairs, BATCH_ELEMENTS):
+        p1 = min(p0 + BATCH_ELEMENTS, pairs)
+        # Candidates a..b own pairs p0..p1-1; i and j are each pair's candidate and probe.
+        a, b = np.searchsorted(ends, (p0, p1 - 1), "right")
+        e = ends[a : b + 1]
+        i = np.repeat(np.arange(a, b + 1), np.minimum(e, p1) - np.maximum(e - span[a : b + 1], p0))
+        j = np.arange(p0, p1) - offset[i]
+        s = starts[j]
+        count = np.ones(p1 - p0)
         # A crowded first hit counts its target's hits up to the window's end.
-        i, k = np.divmod(np.flatnonzero(crowded_w[s] < s[:, None]), size)
-        e = s[i] * m + k
-        count[i, k] = np.searchsorted(key, flat[e] * total + (s[i] + width) * m) - pos[e]
-        denom = count.sum(axis=1)  # D_r, exact in float64
-        terms = np.maximum(count - (denom / (s + 1))[:, None] * weight_w[s], 0.0)
-        tv[lo : lo + s.size] = terms.sum(axis=1) / denom
-        kept[lo : lo + s.size] = denom
-    return tv[inverse], kept[inverse].astype(np.int64)
+        crowd = np.flatnonzero(crowded[i] < s)
+        count[crowd] = np.searchsorted(key, bound[i[crowd]] + s[crowd] * m) - index[i[crowd]]
+        # Unbuffered and in pair order, so each probe adds its terms in
+        # candidate order whatever the batch size.
+        np.add.at(excess, j, np.maximum(lam[j] * w[i] - count, 0.0))
+    tv = np.clip(1.0 - hit_mass / (starts + 1) + excess / kept, 0.0, 1.0)
+    return tv[inverse], kept[inverse]
 
 
 def tv_dense(p: ProbVector, q: ProbVector) -> float:

@@ -18,6 +18,7 @@ from dyngof import sampling
 from dyngof.gof import test_statistic
 from dyngof.models import (
     IncrementalReplay,
+    Trajectory,
     affine_pref_attach,
     pref_attach,
     sample_trajectory,
@@ -118,6 +119,68 @@ def test_fuzzed_plans_match_rational_oracle(null_kind, width_kind):
         choices = tuple(int(v) for v in traj.choices[:, 0])
         want = [float(_exact_probe_tv(choices, null, int(r), width)) for r in plan.points]
         np.testing.assert_allclose(probe_tvs(traj, null, plan)[0], want, rtol=ORACLE_RTOL, atol=0)
+
+
+def assert_matches_oracle(traj, model, plan):
+    choices = tuple(int(v) for v in traj.choices[:, 0])
+    want = [float(_exact_probe_tv(choices, model, int(r), plan.width)) for r in plan.points]
+    np.testing.assert_allclose(probe_tvs(traj, model, plan)[0], want, rtol=ORACLE_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_early_probes_of_widest_window(m):
+    # r in {2, 3} with width n - 2: the window spans the whole trajectory and
+    # lam = D/(r-1) >= 1, so the candidate bound (r-1)/D is at most 1 and
+    # nearly every hit vertex is expanded.
+    for case in range(8):
+        n = 5 + 7 * case
+        traj = sample_trajectory(models(m)[case % 4], n, seed=case)
+        plan = ProbePlan(points=np.array([2, 2, 3, 3]), width=n - 2)
+        kept = probe_tvs(traj, pref_attach(m), plan)[1]
+        assert np.all(kept >= plan.points - 1)
+        for model in models(m):
+            assert_matches_reference(traj, model, plan)
+            if m == 1:
+                assert_matches_oracle(traj, model, plan)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_star_trajectory(m):
+    # Every choice targets vertex 1: the hub is a candidate at every probe and
+    # crowded in every window, with c = D and a zero term (lam*w = D*p <= c).
+    n = 60
+    traj = Trajectory(n, m, np.ones((n - 1, m), dtype=np.int64), "star", 0)
+    plan = ProbePlan(points=np.arange(2, n - 8), width=9)
+    for model in models(m):
+        assert_matches_reference(traj, model, plan)
+        if m == 1:
+            assert_matches_oracle(traj, model, plan)
+    tvs, kept = probe_tvs(traj, pref_attach(m), plan)
+    np.testing.assert_array_equal(kept, np.full(plan.count, 9 * m))
+    # pa at time r - 1: deg_1 = r*m of total 2m(r - 1), so TV = 1 - r / (2(r - 1)).
+    r = plan.points
+    np.testing.assert_allclose(tvs, 1 - r / (2 * (r - 1)), rtol=RTOL, atol=ATOL)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_uniform_null_exact_zeros(m):
+    # On small uniform trajectories many windows hit every alive vertex
+    # equally, where the reference TV is exactly 0.
+    null, zeros = uniform_attach(m), 0
+    for seed in range(40):
+        n = 4 + seed % 9
+        traj = sample_trajectory(uniform_attach(m), n, seed)
+        for width in range(1, n - 1):
+            plan = ProbePlan(points=np.arange(2, n + 2 - width), width=width)
+            tvs = probe_tvs(traj, null, plan)[0]
+            assert np.all((tvs >= 0) & (tvs <= 1))
+            exact = np.asarray(reference_tvs(traj, null, plan)) == 0
+            assert np.all(np.abs(tvs[exact]) <= 1e-15)
+            zeros += int(exact.sum())
+            assert_matches_reference(traj, null, plan)
+            if m == 1:
+                assert_matches_oracle(traj, null, plan)
+    assert zeros >= 100
 
 
 @pytest.mark.parametrize("model", models(1) + models(3), ids=lambda model: model.label)

@@ -80,6 +80,25 @@ class TestProbePlan:
         plan = ProbePlan(points=np.array([3, 3, 3]), width=2)
         assert plan.count == 3
 
+    @pytest.mark.parametrize(
+        "points", [np.array([2.7, 3.9]), np.array([2.0, 3.0]), [2, 3.5], np.array([True, True]), ["2", "3"]]
+    )
+    def test_rejects_non_integral_points(self, points):
+        # Truncating [2.7, 3.9] to [2, 3] scored a plan nobody asked for.
+        with pytest.raises(ValueError, match="points: expected integers"):
+            ProbePlan(points=points, width=3)
+
+    @pytest.mark.parametrize("width", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integral_width(self, width):
+        with pytest.raises(ValueError, match="width: expected an integer"):
+            ProbePlan(points=np.array([2, 3]), width=width)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_numpy_integers_pass(self, dtype):
+        plan = ProbePlan(points=np.array([2, 3], dtype=dtype), width=np.int64(3))
+        assert plan.points.dtype == np.int64 and plan.points.tolist() == [2, 3]
+        assert type(plan.width) is int and plan.width == 3
+
     def test_feasibility(self):
         plan = ProbePlan(points=np.array([2, 9]), width=2)
         assert plan.feasible_for(10)
