@@ -18,9 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import sampling
 from .models import ModelSpec, Trajectory, sample_trajectory
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
-from .sampling import ProbePlan, probe_tvs, sample_probe_points
+from .sampling import ProbePlan, hit_ranks, probe_tvs, probe_tvs_block, sample_probe_points
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,15 @@ class TestReport:
         )
 
 
+def probe_sum(tvs: np.ndarray) -> np.ndarray:
+    """S along the last axis: the per-probe TVs added left to right.
+
+    cumsum adds in sequence, where np.sum adds pairwise and Python 3.12's
+    sum() compensates floats, so every caller gets the same bits.
+    """
+    return np.cumsum(tvs, axis=-1)[..., -1]
+
+
 def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> StatisticResult:
     """Sum of per-probe TV distances against the null model.
 
@@ -132,15 +142,10 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     own m choices lie in {1, ..., r-1}. S adds the values in probe order;
     kept is the sum of D_r.
     """
-    if null_model.m != traj.m:
-        raise ValueError("null model and trajectory disagree on edges per arrival")
     if not plan.feasible_for(traj.n):
         raise ValueError("infeasible plan: window runs past the trajectory")
-    # numpy scalars, so sum() adds them plainly left to right (Python 3.12+
-    # compensates only sums of exact floats).
     tvs, kept = probe_tvs(traj, null_model, plan)
-    per_probe = list(tvs)
-    return StatisticResult(S=float(sum(per_probe)), per_probe_tv=per_probe, kept=int(kept.sum()))
+    return StatisticResult(S=float(probe_sum(tvs)), per_probe_tv=list(tvs), kept=int(kept.sum()))
 
 
 def statistic_samples(
@@ -155,14 +160,24 @@ def statistic_samples(
 
     Each replication uses an independently derived trajectory seed and
     probe plan, so results are reproducible from (seed, index) alone.
+    Replications are scored in blocks of up to
+    sampling.BATCH_ELEMENTS // ((n-1)*m), at least one, with one
+    probe_tvs_block pass each; every value has the bits test_statistic
+    gives that replication.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    probes, width = cfg.probes_for(n), cfg.width_for(n)
+    per_block = max(1, sampling.BATCH_ELEMENTS // ((n - 1) * null_model.m))
     values = np.empty(replications)
-    for i in range(replications):
-        plan = sample_probe_points(n, cfg.probes_for(n), cfg.width_for(n), stream(seed, TAG_PROBES, i))
-        traj = sample_trajectory(gen_model, n, derive_seed(seed, TAG_TRAJECTORY, i))
-        values[i] = test_statistic(traj, null_model, plan).S
+    for b0 in range(0, replications, per_block):
+        block = range(b0, min(b0 + per_block, replications))
+        plans, trajs = [], []
+        for i in block:
+            plans.append(sample_probe_points(n, probes, width, stream(seed, TAG_PROBES, i)))
+            trajs.append(sample_trajectory(gen_model, n, derive_seed(seed, TAG_TRAJECTORY, i)))
+        tvs = probe_tvs_block(trajs, null_model, plans)[0]
+        values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
     return values
 
 
@@ -222,8 +237,7 @@ def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
     targets = flat[order]
     # A hit's degree just before it: base degree plus its rank among the
     # hits on its target, which the stable sort keeps in time order.
-    rank = np.arange(flat.size) - np.searchsorted(targets, targets)
-    before = rank + np.where(targets == 1, 2 * m, m)
+    before = hit_ranks(targets) + np.where(targets == 1, 2 * m, m)
     gain = np.abs(A * (before + 1) + B) - np.abs(A * before + B)
     H = np.empty(traj.n - 1)
     # g(2m) = |N0*N1 - N1*N0| = 0: at j = 1 both laws put all mass on vertex 1.

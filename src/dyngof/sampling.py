@@ -11,7 +11,8 @@ the complement of an identity that needs no per-window sort: two
 difference arrays give every window's kept count and hit weight in
 O(n*m), and only the (probe, vertex) pairs that can add a positive part
 are expanded. It equals them up to rounding and is what the statistic
-calls.
+calls; probe_tvs_block scores a block of replications in one such pass,
+with the same bits.
 
 Also provides the pair-counting representation of TV between two discrete
 measures: group domain elements by their (p, q) probability pair and sum
@@ -129,6 +130,21 @@ def tv_distance(emp: EmpiricalMeasure, model_probs: ProbVector) -> float:
     return min(max(0.5 * acc, 0.0), 1.0)
 
 
+def hit_ranks(targets: np.ndarray) -> np.ndarray:
+    """Number of earlier hits on each hit's target.
+
+    targets holds every hit's target, sorted and with each target's hits in
+    time order (a stable sort). A hit's rank is its distance from the start
+    of its target's run, and one running maximum of the run starts gives
+    every run's start in linear time.
+    """
+    index = np.arange(targets.size)
+    run_start = np.empty(targets.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(targets[1:], targets[:-1], out=run_start[1:])
+    return index - np.maximum.accumulate(np.where(run_start, index, 0))
+
+
 def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.ndarray, np.ndarray]:
     """TV distance and kept count D_r of every probe of the plan.
 
@@ -142,50 +158,100 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
     and K_r = sum_v max(lam * w_v - c_v, 0). D_r and W_r come from two
     difference arrays; K_r only from the (probe, vertex) pairs with
     lam * w_v > 1, in batches of BATCH_ELEMENTS pairs. The plan must be
-    feasible for traj.
+    feasible for traj. This is probe_tvs_block on a block of one.
     """
-    n, m, width = traj.n, traj.m, plan.width
-    total = (n - 1) * m  # choices in all
-    # Element e = row*m + j, ordered by target and then by time: key v*total + e.
-    key = np.sort(traj.choices.ravel() * total + np.arange(total))
-    target, row = np.divmod(key, total)
-    row //= m
-    rank = np.arange(total) - np.searchsorted(target, target)  # earlier hits on the target
+    return probe_tvs_block([traj], model, [plan])
+
+
+def probe_tvs_block(
+    trajs: list[Trajectory], model: ModelSpec, plans: list[ProbePlan]
+) -> tuple[np.ndarray, np.ndarray]:
+    """probe_tvs of each (trajectory, plan) pair, in one pass over the block.
+
+    The trajectories share n and m, and the plans share a width. Replication
+    k maps vertex v to k*n + v, row to k*n + row and element e to k*n*m + e,
+    so one sort orders the block by replication, target and time, and each
+    difference array covers the K*n starts of all replications. The float
+    cumsum of the hit weights, the suffix minimum h and its searchsorted cut
+    run per replication, so every probe gets the bits probe_tvs gives it
+    alone. Returns the TVs and kept counts of all plans' probes, plan after
+    plan.
+    """
+    n, m, width = trajs[0].n, trajs[0].m, plans[0].width
+    if model.m != m:
+        raise ValueError("null model and trajectory disagree on edges per arrival")
+    reps, total = len(trajs), (n - 1) * m  # choices per replication
+    bounds = np.arange(reps + 1)
+    origin = bounds[:-1] * n  # each replication's vertex and row 0
+    # Element e = row*m + j, ordered by target and then by time: key
+    # (v << shift) | e. Replication k adds k*n to v and k*n*m to e.
+    shift = (reps * n * m).bit_length()
+    key = np.concatenate([traj.choices.ravel() + o for o, traj in zip(origin, trajs)]).reshape(reps, total)
+    key <<= shift
+    key |= np.arange(reps * n * m).reshape(reps, n * m)[:, :total]
+    key = key.ravel()
+    key.sort()
+    target, row = key >> shift, (key & ((1 << shift) - 1)) // m
+    rank = hit_ranks(target)  # earlier hits on the target
     # prev is the row of the previous hit on the target, or its birth row
     # v - 2 (vertex 1's is -1). The window at row s = r - 2 keeps an element
     # when v - 1 <= s, and the element is its target's first kept hit exactly
-    # when prev < s; it is the only one unless the next hit, at row after,
-    # comes before s + width, that is unless crowded < s as well.
-    prev = np.where(rank == 0, target - 2, np.concatenate(([0], row[:-1])))
-    after = np.where(np.append(rank[1:] == 0, True), n, np.concatenate((row[1:], [n])))
-    # A first kept hit sees deg_{r-1}(v): the base degree plus the hits before it.
-    weight = model.attachment_probability(rank + np.where(target == 1, 2 * m, m), 1)
-    starts, inverse = np.unique(plan.points - 2, return_inverse=True)
+    # when prev < s; it is the only one unless the next hit, at row after
+    # (the end of the replication for the last hit), comes before s + width,
+    # that is unless crowded = after - width < s.
+    run_start = rank == 0
+    prev = np.where(run_start, target - 2, np.concatenate(([0], row[:-1])))
+    last = np.append(run_start[1:], True).reshape(reps, total)
+    after = np.where(last, (origin + n)[:, None], np.append(row[1:], 0).reshape(reps, total)).ravel()
+    # Each plan is sorted, so the block's starts k*n + r - 2 are too; each
+    # distinct start is evaluated once.
+    alive = np.concatenate([plan.points for plan in plans]) - 1  # s + 1 = r - 1 vertices
+    starts = alive + np.repeat(origin - 1, [plan.count for plan in plans])
+    distinct = np.concatenate(([True], starts[1:] != starts[:-1]))
+    inverse = distinct.cumsum() - 1
+    starts, alive = starts[distinct], alive[distinct]
 
     # Difference arrays over all starts s: an element counts in D_s for s in
     # [max(row - width + 1, v - 1), row], and as a first hit adds its weight
-    # to W_s for s in [lo, row], lo = max(prev, row - width) + 1.
-    kept_from = np.maximum(row - width + 1, target - 1)
-    kept = np.cumsum(np.bincount(kept_from, minlength=n) - np.bincount(row + 1, minlength=n))[starts]
+    # to W_s for s in [lo, row], lo = max(prev, row - width) + 1. Each
+    # replication's kept counts return to 0 by its end; its hit weights are
+    # summed apart from the others' to keep their bits.
+    size = reps * n
+    kept = np.bincount(np.maximum(row - width + 1, target - 1), minlength=size)
+    kept = np.cumsum(kept - np.bincount(row + 1, minlength=size))[starts]
     first = np.flatnonzero(prev < row)  # all but repeats of a target within one row
-    lo, w = np.maximum(prev, row - width)[first] + 1, weight[first]
-    hit_mass = np.bincount(lo, w, minlength=n) - np.bincount(row[first] + 1, w, minlength=n)
-    hit_mass = np.cumsum(hit_mass)[starts]
+    # A first kept hit sees deg_{r-1}(v): the base degree (2m on vertex 1)
+    # plus the hits before it.
+    one = (target.reshape(reps, total) == (origin + 1)[:, None]).ravel()
+    w = model.attachment_probability(rank + np.where(one, 2 * m, m), 1)[first]
+    lo, end = np.maximum(prev, row - width)[first] + 1, row[first] + 1  # W_s ranges [lo, end)
+    del target, row, rank, prev  # only first hits count from here on
+    hit_mass = np.bincount(lo, w, minlength=size) - np.bincount(end, w, minlength=size)
+    hit_mass = np.cumsum(hit_mass.reshape(reps, n), axis=1).ravel()[starts]
 
     # A term of K_r is nonzero only where lam * w_v > c_v >= 1, so only if
-    # w_v > (s + 1) / D_s. Its suffix minimum h is nondecreasing, which makes
-    # a first hit's candidate probes one range: [k0, k0 + span).
-    lam = kept / (starts + 1)
-    h = np.minimum.accumulate(((starts + 1) / kept)[::-1])[::-1]
-    below = np.cumsum(np.bincount(starts + 1, minlength=n))  # below[x]: starts less than x
-    k0 = below[lo]
-    span = np.minimum(below[row[first] + 1], np.searchsorted(h, w)) - k0
-    pick = span > 0
+    # w_v > (s + 1) / D_s. Its suffix minimum h over a replication's starts
+    # is nondecreasing, which makes a first hit's candidate probes one
+    # range: [k0, k0 + span), cut at the first probe with h >= w_v.
+    lam = kept / alive
+    ratio = alive / kept
+    below = np.cumsum(np.bincount(starts + 1, minlength=size))  # below[x]: starts less than x
+    k0, span = below[lo], below[end]
+    del lo, end
+    start_at, first_at = np.searchsorted(starts, bounds * n), np.searchsorted(first, bounds * total)
+    for k in range(reps):
+        a, b = start_at[k], start_at[k + 1]
+        h = np.minimum.accumulate(ratio[a:b][::-1])[::-1]
+        at = slice(first_at[k], first_at[k + 1])
+        np.minimum(span[at], a + np.searchsorted(h, w[at]), out=span[at])
+    span -= k0
+    pick = np.flatnonzero(span > 0)
     span, index, w = span[pick], first[pick], w[pick]  # index: a candidate's sorted position
     ends = np.cumsum(span)  # candidate i owns pairs ends[i] - span[i], ..., ends[i] - 1
     offset = ends - span - k0[pick]  # pair p of candidate i is probe p - offset[i]
-    crowded = np.maximum(prev, after - width)[index]
-    bound = target[index] * total + width * m
+    crowded = after[index] - width
+    bound = (key[index] >> shift << shift) + width * m  # plus s*m: the key just past window s
+    del after, first, below, k0  # the pairs need only the candidates'
     excess = np.zeros(starts.size)  # K_r
     pairs = int(span.sum())
     for p0 in range(0, pairs, BATCH_ELEMENTS):
@@ -199,11 +265,15 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
         count = np.ones(p1 - p0)
         # A crowded first hit counts its target's hits up to the window's end.
         crowd = np.flatnonzero(crowded[i] < s)
-        count[crowd] = np.searchsorted(key, bound[i[crowd]] + s[crowd] * m) - index[i[crowd]]
+        ic = i[crowd]
+        count[crowd] = np.searchsorted(key, bound[ic] + s[crowd] * m) - index[ic]
         # Unbuffered and in pair order, so each probe adds its terms in
         # candidate order whatever the batch size.
-        np.add.at(excess, j, np.maximum(lam[j] * w[i] - count, 0.0))
-    tv = np.clip(1.0 - hit_mass / (starts + 1) + excess / kept, 0.0, 1.0)
+        term = lam[j] * w[i]
+        term -= count
+        np.add.at(excess, j, np.maximum(term, 0.0, out=term))
+        del i, j, s, count, crowd, ic, term  # before the next batch allocates its own
+    tv = np.clip(1.0 - hit_mass / alive + excess / kept, 0.0, 1.0)
     return tv[inverse], kept[inverse]
 
 

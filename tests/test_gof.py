@@ -26,9 +26,10 @@ from dyngof.models import (
     step_distribution,
     uniform_attach,
 )
+from dyngof import sampling
 from dyngof.oracle import exact_dn, exact_expected_statistic
-from dyngof.rng import TAG_RADIUS, derive_seed
-from dyngof.sampling import ProbePlan, empirical_measure, tv_dense, tv_distance
+from dyngof.rng import TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
+from dyngof.sampling import ProbePlan, empirical_measure, sample_probe_points, tv_dense, tv_distance
 
 PA = pref_attach()
 UNI = uniform_attach()
@@ -274,3 +275,55 @@ class TestConcentrationTrend:
         a = statistic_samples(UNI, PA, 80, tc, 5, seed=13)
         b = statistic_samples(UNI, PA, 80, tc, 5, seed=13)
         np.testing.assert_array_equal(a, b)
+
+
+def reference_samples(gen, null, n, cfg, replications, seed):
+    """statistic_samples as a loop of test_statistic calls, one per replication."""
+    values = []
+    for i in range(replications):
+        plan = sample_probe_points(n, cfg.probes_for(n), cfg.width_for(n), stream(seed, TAG_PROBES, i))
+        traj = sample_trajectory(gen, n, derive_seed(seed, TAG_TRAJECTORY, i))
+        values.append(test_statistic(traj, null, plan).S)
+    return np.array(values)
+
+
+def assert_samples_match_reference(gen, null, n, cfg, replications, seed):
+    got = statistic_samples(gen, null, n, cfg, replications, seed)
+    want = reference_samples(gen, null, n, cfg, replications, seed)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestStatisticSamplesBlocks:
+    @staticmethod
+    def models(m):
+        return [pref_attach(m), uniform_attach(m), affine_pref_attach(0.5, m), affine_pref_attach(2.5, m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("case", range(8))
+    def test_blocks_match_loop_bit_for_bit(self, m, case):
+        draw = np.random.default_rng([m, case, 71])
+        n = int(draw.integers(4, 300))
+        # The widest case puts n at width + 2.
+        top = (n - 2.5) / n
+        width_fraction = top if case % 4 == 3 else float(draw.uniform(0.01, top))
+        cfg = TestConfig(
+            null_model=pref_attach(m), D=1.0, seed=0,
+            width_fraction=width_fraction, probe_fraction=float(draw.uniform(0.01, 0.99)),
+        )
+        if case % 4 == 3:
+            assert cfg.width_for(n) == n - 2
+        gen, null = self.models(m)[case % 4], self.models(m)[(case // 2) % 4]
+        per_block = max(1, sampling.BATCH_ELEMENTS // ((n - 1) * m))
+        replications = (1, per_block, per_block + 1, 33)[case % 4]
+        assert_samples_match_reference(gen, null, n, cfg, replications, int(draw.integers(1 << 30)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_uniform_data_against_pa_null(self, m):
+        cfg = TestConfig(null_model=pref_attach(m), D=1.0, width_fraction=0.15, probe_fraction=0.4)
+        assert_samples_match_reference(uniform_attach(m), pref_attach(m), 150, cfg, 33, seed=m)
+
+    @pytest.mark.parametrize("m, n", [(1, 2100), (3, 700)])
+    def test_block_of_one_replication(self, m, n):
+        assert sampling.BATCH_ELEMENTS // ((n - 1) * m) == 1
+        cfg = TestConfig(null_model=pref_attach(m), D=1.0, seed=0)
+        assert_samples_match_reference(pref_attach(m), pref_attach(m), n, cfg, 3, seed=n)

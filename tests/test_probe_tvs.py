@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dyngof import sampling
-from dyngof.gof import test_statistic
+from dyngof.gof import TestConfig, statistic_samples, test_statistic
 from dyngof.models import (
     IncrementalReplay,
     Trajectory,
@@ -191,3 +191,39 @@ def test_array_time_matches_scalar_calls(model):
     batched = model.attachment_probability(degrees, t)
     scalar = [model.attachment_probability(np.array([d]), int(s))[0] for d, s in zip(degrees, t)]
     np.testing.assert_array_equal(bits(batched), bits(scalar))
+
+
+def block_plans(n, width, count, draw):
+    # Sorted draws, with repeated points and the first and last feasible starts.
+    points = sample_probe_points(n, count, width, draw).points
+    extra = [2, 2, n + 1 - width, n + 1 - width, points[0]]
+    return ProbePlan(points=np.sort(np.concatenate([points, extra])), width=width)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("case", range(6))
+def test_block_matches_each_replication_alone(m, case):
+    draw = np.random.default_rng([m, case, 53])
+    n = int(draw.integers(4, 200))
+    width = (1, n - 2, int(draw.integers(1, n - 1)))[case % 3]
+    gen, null = models(m)[case % 4], models(m)[(case + 1) % 4]
+    reps = int(draw.integers(1, 9))
+    trajs = [sample_trajectory(gen, n, int(draw.integers(1 << 30))) for _ in range(reps)]
+    plans = [block_plans(n, width, int(draw.integers(1, 2 * n)), draw) for _ in range(reps)]
+    tvs, kept = sampling.probe_tvs_block(trajs, null, plans)
+    at = np.cumsum([0] + [plan.count for plan in plans])
+    for k, (traj, plan) in enumerate(zip(trajs, plans)):
+        alone_tvs, alone_kept = probe_tvs(traj, null, plan)
+        np.testing.assert_array_equal(bits(tvs[at[k] : at[k + 1]]), bits(alone_tvs))
+        np.testing.assert_array_equal(kept[at[k] : at[k + 1]], alone_kept)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 4096, 10**6])
+@pytest.mark.parametrize("model", models(2), ids=lambda model: model.label)
+def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
+    # The budget sets both the replications per block and the pairs per batch.
+    cfg = TestConfig(null_model=model, D=1.0, width_fraction=0.2)
+    want = statistic_samples(pref_attach(2), model, 120, cfg, 40, seed=budget)
+    monkeypatch.setattr(sampling, "BATCH_ELEMENTS", budget)
+    got = statistic_samples(pref_attach(2), model, 120, cfg, 40, seed=budget)
+    np.testing.assert_array_equal(bits(got), bits(want))
