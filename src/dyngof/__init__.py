@@ -13,53 +13,32 @@ from .gof import (
     test_statistic,
 )
 from .models import (
-    DegreeState,
     ModelSpec,
-    ProbVector,
     Trajectory,
     affine_pref_attach,
     pref_attach,
     read_trajectory,
     replay,
     sample_trajectory,
-    step_distribution,
     uniform_attach,
     write_trajectory,
 )
-from .sampling import (
-    EmpiricalMeasure,
-    ProbePlan,
-    counting_function,
-    empirical_measure,
-    sample_probe_points,
-    tv_dense,
-    tv_distance,
-    tv_via_counting,
-)
+from .sampling import ProbePlan, sample_probe_points
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeState",
     "ModelSpec",
-    "ProbVector",
     "Trajectory",
     "affine_pref_attach",
     "pref_attach",
     "read_trajectory",
     "replay",
     "sample_trajectory",
-    "step_distribution",
     "uniform_attach",
     "write_trajectory",
-    "EmpiricalMeasure",
     "ProbePlan",
-    "counting_function",
-    "empirical_measure",
     "sample_probe_points",
-    "tv_dense",
-    "tv_distance",
-    "tv_via_counting",
     "FixedAlpha",
     "RadiusEstimate",
     "SampledAlpha",

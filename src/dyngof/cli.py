@@ -176,7 +176,7 @@ def _cmd_radius(args) -> int:
         width_fraction=args.width_fraction, probe_fraction=args.probe_fraction, seed=seed,
     )
     est = sampling_radius_estimate(model, args.n, cfg, args.replications, seed)
-    _emit({"mean": est.mean, "std": est.std, "replications": est.replications,
+    _emit({"mean": est.mean, "std": est.std, "replications": args.replications,
            "n": args.n, "M": cfg.probes_for(args.n), "C": cfg.width_for(args.n), "seed": seed})
     return 0
 

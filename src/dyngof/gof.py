@@ -88,7 +88,6 @@ class RadiusEstimate:
 
     mean: float
     std: float
-    replications: int
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,6 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     own m choices lie in {1, ..., r-1}. S adds the values in probe order;
     kept is the sum of D_r.
     """
-    if not plan.feasible_for(traj.n):
-        raise ValueError("infeasible plan: window runs past the trajectory")
     tvs, kept = probe_tvs(traj, null_model, plan)
     return StatisticResult(S=float(probe_sum(tvs)), per_probe_tv=list(tvs), kept=int(kept.sum()))
 
@@ -168,7 +165,7 @@ def statistic_samples(
     if replications < 1:
         raise ValueError("need at least one replication")
     probes, width = cfg.probes_for(n), cfg.width_for(n)
-    per_block = max(1, sampling.BATCH_ELEMENTS // ((n - 1) * null_model.m))
+    per_block = max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * null_model.m))
     values = np.empty(replications)
     for b0 in range(0, replications, per_block):
         block = range(b0, min(b0 + per_block, replications))
@@ -193,20 +190,16 @@ def sampling_radius_estimate(
     if replications < 2:
         raise ValueError("radius estimation needs at least 2 replications")
     values = statistic_samples(model, model, n, cfg, replications, seed)
-    return RadiusEstimate(
-        mean=float(np.mean(values)),
-        std=float(np.std(values, ddof=1)),
-        replications=replications,
-    )
+    return RadiusEstimate(mean=float(np.mean(values)), std=float(np.std(values, ddof=1)))
 
 
 def threshold_radius(cfg: TestConfig, n: int, seed: int) -> RadiusEstimate:
     """The radius cfg.alpha_mode gives at horizon n: fixed, or estimated from seed.
 
-    A FixedAlpha radius is reported with std 0 and 0 replications.
+    A FixedAlpha radius is reported with std 0.
     """
     if isinstance(cfg.alpha_mode, FixedAlpha):
-        return RadiusEstimate(mean=cfg.alpha_mode.radius, std=0.0, replications=0)
+        return RadiusEstimate(mean=cfg.alpha_mode.radius, std=0.0)
     return sampling_radius_estimate(cfg.null_model, n, cfg, cfg.alpha_mode.replications, seed)
 
 

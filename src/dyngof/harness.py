@@ -36,14 +36,6 @@ EXPERIMENT_TAIL = "tail-exponent"
 EXPERIMENT_RADIUS_SCAN = "radius-scan"
 EXPERIMENT_CALIBRATION = "calibration"
 
-EXPERIMENTS = (
-    EXPERIMENT_SUCCESS,
-    EXPERIMENT_CONCENTRATION,
-    EXPERIMENT_TAIL,
-    EXPERIMENT_RADIUS_SCAN,
-    EXPERIMENT_CALIBRATION,
-)
-
 EXCEEDANCE_LEVELS = (0.01, 0.02, 0.05)
 
 # Tail fits start at the probability a degree-10 vertex would receive,
@@ -79,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("n_values must be increasing")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.alt_model is not None and self.alt_model.m != self.null_model.m:
+            raise ValueError("null and alternative models disagree on edges per arrival")
         # The runs test against null_model, so the test config records it too.
         object.__setattr__(self, "test_config", replace(self.test_config, null_model=self.null_model))
 
@@ -93,7 +87,6 @@ class TailDiagnostic:
     (uniform attachment) is flagged degenerate with an undefined exponent.
     """
 
-    t: int
     q_bins: np.ndarray
     counts: np.ndarray
     fitted_gamma: float
@@ -165,9 +158,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
     return Table(header, rows)
 
 
-def tail_exponent_diagnostic(
-    model: ModelSpec, n: int, replications: int, seed: int, bins: int = TAIL_BINS
-) -> TailDiagnostic:
+def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: int) -> TailDiagnostic:
     """Fit the power-law exponent of the conditional probability spectrum.
 
     Histograms the conditional probabilities at the end of simulated
@@ -192,10 +183,9 @@ def tail_exponent_diagnostic(
         edges = np.array([qmin * (1 - 1e-9), qmax * (1 + 1e-9)])
         counts = np.array([float(n - 1)])
         return TailDiagnostic(
-            t=n, q_bins=edges, counts=counts,
-            fitted_gamma=float("nan"), degenerate=True, populated_tail_bins=0,
+            q_bins=edges, counts=counts, fitted_gamma=float("nan"), degenerate=True, populated_tail_bins=0
         )
-    edges = np.geomspace(qmin, qmax, bins + 1)
+    edges = np.geomspace(qmin, qmax, TAIL_BINS + 1)
     edges[0] *= 1 - 1e-12
     edges[-1] *= 1 + 1e-12
     counts = np.mean([np.histogram(q, bins=edges, weights=w)[0] for q, w in spectra], axis=0)
@@ -208,8 +198,7 @@ def tail_exponent_diagnostic(
         raise ValueError("insufficient tail: fewer than 5 populated bins")
     slope = float(np.polyfit(np.log(centers[sel]), np.log(density[sel]), 1)[0])
     return TailDiagnostic(
-        t=n, q_bins=edges, counts=counts,
-        fitted_gamma=slope, degenerate=False, populated_tail_bins=populated,
+        q_bins=edges, counts=counts, fitted_gamma=slope, degenerate=False, populated_tail_bins=populated
     )
 
 
@@ -274,7 +263,7 @@ def run_radius_scan(cfg: ExperimentConfig) -> Table:
         est = sampling_radius_estimate(
             cfg.null_model, n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, k)
         )
-        rows.append([n, est.mean, est.std, est.replications])
+        rows.append([n, est.mean, est.std, cfg.replications])
     return Table(header, rows)
 
 
@@ -305,6 +294,7 @@ _RUNNERS = {
     EXPERIMENT_RADIUS_SCAN: run_radius_scan,
     EXPERIMENT_CALIBRATION: run_calibration_experiment,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # --- persistence ---
@@ -366,8 +356,10 @@ def test_config_from_dict(d: dict) -> TestConfig:
     alpha = d.get("alpha_mode", {"mode": "sampled"})
     if alpha["mode"] == "fixed":
         mode = FixedAlpha(radius=float(alpha["radius"]))
-    else:
+    elif alpha["mode"] == "sampled":
         mode = SampledAlpha(_integer("replications", alpha.get("replications", SampledAlpha.replications)))
+    else:
+        raise ValueError(f"unknown alpha mode {alpha['mode']!r} (use 'sampled' or 'fixed')")
     return TestConfig(
         null_model=model_from_dict(d["null_model"]),
         D=float(d["D"]),

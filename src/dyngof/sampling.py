@@ -157,8 +157,9 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
     window hits, which is 1 - W_r / (r-1) + K_r / D_r with W_r = sum_v w_v
     and K_r = sum_v max(lam * w_v - c_v, 0). D_r and W_r come from two
     difference arrays; K_r only from the (probe, vertex) pairs with
-    lam * w_v > 1, in batches of BATCH_ELEMENTS pairs. The plan must be
-    feasible for traj. This is probe_tvs_block on a block of one.
+    lam * w_v > 1, in batches of BATCH_ELEMENTS pairs. A plan that is not
+    feasible for traj raises ValueError. This is probe_tvs_block on a block
+    of one.
     """
     return probe_tvs_block([traj], model, [plan])
 
@@ -168,7 +169,8 @@ def probe_tvs_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """probe_tvs of each (trajectory, plan) pair, in one pass over the block.
 
-    The trajectories share n and m, and the plans share a width. Replication
+    The trajectories must share n and m, and the plans one width that fits
+    n; a block that breaks this raises ValueError. Replication
     k maps vertex v to k*n + v, row to k*n + row and element e to k*n*m + e,
     so one sort orders the block by replication, target and time, and each
     difference array covers the K*n starts of all replications. The float
@@ -178,8 +180,16 @@ def probe_tvs_block(
     plan.
     """
     n, m, width = trajs[0].n, trajs[0].m, plans[0].width
+    if len(plans) != len(trajs):
+        raise ValueError(f"block has {len(trajs)} trajectories but {len(plans)} plans")
+    if any(traj.n != n or traj.m != m for traj in trajs):
+        raise ValueError("block trajectories disagree on n or m")
     if model.m != m:
         raise ValueError("null model and trajectory disagree on edges per arrival")
+    if any(plan.width != width for plan in plans):
+        raise ValueError("block plans disagree on window width")
+    if not all(plan.feasible_for(n) for plan in plans):
+        raise ValueError("infeasible plan: window runs past the trajectory")
     reps, total = len(trajs), (n - 1) * m  # choices per replication
     bounds = np.arange(reps + 1)
     origin = bounds[:-1] * n  # each replication's vertex and row 0

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from dyngof import cli
+from dyngof.models import pref_attach, sample_trajectory, write_trajectory
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -277,9 +280,11 @@ class TestExperimentCommand:
         {"test_config": {"seed": 4.9}},
         {"test_config": {"seed": 4, "alpha_mode": {"mode": "sampled", "replications": 2.7}}},
         {"null_model": {"kind": "pa", "m": 1.5}},
+        {"test_config": {"seed": 4, "alpha_mode": {"mode": "weird"}}},
+        {"alt_model": {"kind": "uniform", "m": 2}},
     ], ids=["not-object", "replications-null", "m-string", "test-config-list", "n-values-float",
             "n-values-string", "replications-float", "replications-string", "seed-float",
-            "alpha-replications-float", "m-float"])
+            "alpha-replications-float", "m-float", "alpha-mode-unknown", "alt-m-mismatch"])
     def test_bad_config_type_is_usage_error(self, tmp_path, config):
         if isinstance(config, dict):
             config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
@@ -303,6 +308,61 @@ class TestExperimentCommand:
     def test_missing_experiment_is_error(self):
         proc = run_cli("experiment", "--m0", "pa", "--n-values", "50", "--seed", "1")
         assert proc.returncode == 2
+
+
+# Each argv passes argparse and fails in the command; {traj} is a valid trajectory file.
+BAD_ARGV = [
+    "generate --model pa --n 1 --seed 1 --out {out}",
+    "generate --model zork --n 5 --seed 1 --out {out}",
+    "generate --model pa --m 0 --n 5 --seed 1 --out {out}",
+    "generate --model affine-pa --a -1 --n 5 --seed 1 --out {out}",
+    "generate --model pa --n 5 --seed 1 --out {tmp}/missing/x.traj",
+    "test {traj} --D 1 --alpha sampled:abc --seed 3",
+    "test {traj} --D 1 --alpha sampled:1 --seed 3",
+    "test {traj} --D 1 --alpha fixed: --seed 3",
+    "test {traj} --D 1 --alpha fixed:-1 --seed 3",
+    "test {traj} --D 0 --seed 3",
+    "test {traj} --D 1 --width-fraction 0.999 --seed 3",
+    "test {traj} --D 1 --probe-fraction 0 --seed 3",
+    "test {traj} --D 1 --null-model zork --seed 3",
+    "test {tmp}/missing.traj --D 1 --seed 3",
+    "radius --n 1 --seed 1",
+    "radius --n 0 --seed 1",
+    "radius --n -4 --seed 1",
+    "radius --n 40 --replications 1 --seed 1",
+    "radius --n 40 --width-fraction 0 --seed 1",
+    "radius --n 40 --m 0 --seed 1",
+    "distance --m0 pa --m1 uniform --n 50 --replications 0 --seed 1",
+    "distance --m0 pa --m1 uniform --n 0 --seed 1",
+    "distance --m0 zork --m1 uniform --n 50 --seed 1",
+    "oracle --n 4 --functional expected-s --probes x --width 2",
+    "oracle --n 4 --functional expected-s --probes 9 --width 2",
+    "oracle --n 4 --functional expected-s --width 2",
+    "oracle --n 9 --functional traj-probs",
+    "oracle --n 4 --functional dn",
+    "oracle --n 4 --m 2 --functional traj-probs",
+    "experiment --experiment radius-scan --m0 pa --n-values 1 --seed 1 --out {out}",
+    "experiment --experiment concentration --m0 pa --n-values 1 --seed 1 --out {out}",
+    "experiment --experiment success-rate --m0 pa --m1 uniform --n-values 1 --D 30 --seed 1 --out {out}",
+    "experiment --experiment calibration --m0 pa --m1 uniform --n-values 1 --seed 1 --out {out}",
+    "experiment --experiment tail-exponent --m0 pa --n-values 1 --seed 1 --out {out}",
+    "experiment --experiment radius-scan --m0 pa --n-values x --seed 1 --out {out}",
+    "experiment --experiment radius-scan --m0 pa --n-values 40 --alpha sampled:abc --seed 1 --out {out}",
+    "experiment --experiment radius-scan --m0 pa --n-values 40,30 --seed 1 --out {out}",
+    "experiment --config {tmp}/missing.json --seed 1 --out {out}",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV)
+def test_bad_argv_is_one_line_usage_error(argv, tmp_path, capsys):
+    traj = tmp_path / "pa.traj"
+    write_trajectory(sample_trajectory(pref_attach(), 300, 11), str(traj))
+    out = tmp_path / "x.csv"
+    assert cli.main(argv.format(traj=traj, out=out, tmp=tmp_path).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestUsage:

@@ -138,7 +138,6 @@ class TestSamplingRadiusEstimate:
         est = sampling_radius_estimate(PA, 40, self.CFG, 16, seed=5)
         assert 0.0 <= est.mean <= self.CFG.probes_for(40)
         assert est.std >= 0.0
-        assert est.replications == 16
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
@@ -170,7 +169,7 @@ class TestSamplingRadiusEstimate:
 
     def test_threshold_radius_follows_alpha_mode(self):
         fixed = replace(self.CFG, alpha_mode=FixedAlpha(3.5))
-        assert threshold_radius(fixed, 40, seed=5) == RadiusEstimate(mean=3.5, std=0.0, replications=0)
+        assert threshold_radius(fixed, 40, seed=5) == RadiusEstimate(mean=3.5, std=0.0)
         sampled = replace(self.CFG, alpha_mode=SampledAlpha(6))
         est = threshold_radius(sampled, 40, seed=5)
         assert est == sampling_radius_estimate(PA, 40, sampled, 6, seed=5)
@@ -322,8 +321,26 @@ class TestStatisticSamplesBlocks:
         cfg = TestConfig(null_model=pref_attach(m), D=1.0, width_fraction=0.15, probe_fraction=0.4)
         assert_samples_match_reference(uniform_attach(m), pref_attach(m), 150, cfg, 33, seed=m)
 
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_horizon_below_two_is_infeasible(self, n):
+        cfg = TestConfig(null_model=PA, D=1.0)
+        with pytest.raises(ValueError, match="window exceeds horizon"):
+            statistic_samples(PA, PA, n, cfg, 4, seed=1)
+        with pytest.raises(ValueError, match="window exceeds horizon"):
+            sampling_radius_estimate(PA, n, cfg, 4, seed=1)
+
     @pytest.mark.parametrize("m, n", [(1, 2100), (3, 700)])
     def test_block_of_one_replication(self, m, n):
         assert sampling.BATCH_ELEMENTS // ((n - 1) * m) == 1
         cfg = TestConfig(null_model=pref_attach(m), D=1.0, seed=0)
         assert_samples_match_reference(pref_attach(m), pref_attach(m), n, cfg, 3, seed=n)
+
+
+def test_package_root_exports_only_the_pipeline():
+    import dyngof
+
+    assert len(dyngof.__all__) == 22 and all(hasattr(dyngof, name) for name in dyngof.__all__)
+    # The pre-kernel reference API stays in its modules.
+    for name in ("DegreeState", "ProbVector", "step_distribution", "EmpiricalMeasure", "empirical_measure",
+                 "tv_distance", "tv_dense", "counting_function", "tv_via_counting"):
+        assert not hasattr(dyngof, name)

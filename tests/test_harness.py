@@ -38,7 +38,7 @@ PA = pref_attach()
 UNI = uniform_attach()
 
 
-def reference_tail_diagnostic(model, n, replications, seed, bins=TAIL_BINS):
+def reference_tail_diagnostic(model, n, replications, seed):
     """The tail diagnostic from one per-vertex step_distribution per replication."""
     spectra = []
     for i in range(replications):
@@ -48,8 +48,8 @@ def reference_tail_diagnostic(model, n, replications, seed, bins=TAIL_BINS):
     qmax = max(float(s.max()) for s in spectra)
     if qmin == qmax:
         edges = np.array([qmin * (1 - 1e-9), qmax * (1 + 1e-9)])
-        return TailDiagnostic(n, edges, np.array([float(spectra[0].size)]), float("nan"), True, 0)
-    edges = np.geomspace(qmin, qmax, bins + 1)
+        return TailDiagnostic(edges, np.array([float(spectra[0].size)]), float("nan"), True, 0)
+    edges = np.geomspace(qmin, qmax, TAIL_BINS + 1)
     edges[0] *= 1 - 1e-12
     edges[-1] *= 1 + 1e-12
     counts = np.mean([np.histogram(s, bins=edges)[0] for s in spectra], axis=0)
@@ -58,7 +58,7 @@ def reference_tail_diagnostic(model, n, replications, seed, bins=TAIL_BINS):
     sel = (centers >= model.attachment_probability(TAIL_FIT_MIN_DEGREE, n - 1)) & (counts > 0)
     assert np.count_nonzero(sel) >= MIN_TAIL_BINS
     slope = float(np.polyfit(np.log(centers[sel]), np.log(density[sel]), 1)[0])
-    return TailDiagnostic(n, edges, counts, slope, False, int(np.count_nonzero(sel)))
+    return TailDiagnostic(edges, counts, slope, False, int(np.count_nonzero(sel)))
 
 
 def base_config(experiment, *, n_values=(60, 90), replications=4, alt=UNI,
@@ -186,7 +186,7 @@ class TestTailDiagnostic:
         assert diag.q_bins.tobytes() == ref.q_bins.tobytes()
         assert diag.counts.tobytes() == ref.counts.tobytes()
         assert np.float64(diag.fitted_gamma).tobytes() == np.float64(ref.fitted_gamma).tobytes()
-        assert (diag.t, diag.degenerate, diag.populated_tail_bins) == (ref.t, ref.degenerate, ref.populated_tail_bins)
+        assert (diag.degenerate, diag.populated_tail_bins) == (ref.degenerate, ref.populated_tail_bins)
 
     def test_pa_small_scale_fit(self):
         diag = tail_exponent_diagnostic(PA, 4000, 3, seed=4)

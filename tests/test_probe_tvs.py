@@ -227,3 +227,27 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
     monkeypatch.setattr(sampling, "BATCH_ELEMENTS", budget)
     got = statistic_samples(pref_attach(2), model, 120, cfg, 40, seed=budget)
     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("widths", "window width"),
+    ("n", "n or m"),
+    ("m", "n or m"),
+    ("infeasible", "infeasible plan"),
+    ("count", "2 trajectories but 1 plans"),
+])
+def test_block_contract_is_checked(case, message):
+    trajs = [sample_trajectory(pref_attach(), 200, seed) for seed in (1, 2)]
+    plans = [ProbePlan(points=np.array([50, 120]), width=20)] * 2
+    if case == "widths":
+        plans[1] = ProbePlan(points=np.array([50, 120]), width=40)
+    elif case == "n":
+        trajs[1] = sample_trajectory(pref_attach(), 150, 2)
+    elif case == "m":
+        trajs[1] = sample_trajectory(pref_attach(2), 200, 2)
+    elif case == "infeasible":
+        plans[1] = ProbePlan(points=np.array([50, 190]), width=20)
+    else:
+        plans = plans[:1]
+    with pytest.raises(ValueError, match=message):
+        sampling.probe_tvs_block(trajs, pref_attach(), plans)
