@@ -4,8 +4,9 @@ Subcommands: generate, test, radius, distance, experiment, oracle.
 Estimation commands print a single JSON document on stdout; human-readable
 notes go to stderr. The test command's exit code carries the decision bit
 (0: consistent with the null, 1: rejected, >= 2: error) so batch pipelines
-can branch on it. Every command honors --seed; when omitted, a fresh seed
-is drawn and echoed on stderr so the run can be reproduced.
+can branch on it. Every command that samples honors --seed; when omitted, a
+fresh seed is drawn and echoed on stderr so the run can be reproduced.
+oracle enumerates exactly and ignores --seed.
 """
 
 from __future__ import annotations
@@ -172,10 +173,9 @@ def _cmd_radius(args) -> int:
     model = _model_from_flags(args.model, args.m, args.a)
     seed = _resolve_seed(args)
     cfg = TestConfig(
-        null_model=model, D=1.0,
-        width_fraction=args.width_fraction, probe_fraction=args.probe_fraction, seed=seed,
+        null_model=model, D=1.0, width_fraction=args.width_fraction, probe_fraction=args.probe_fraction
     )
-    est = sampling_radius_estimate(model, args.n, cfg, args.replications, seed)
+    est = sampling_radius_estimate(args.n, cfg, args.replications, seed)
     _emit({"mean": est.mean, "std": est.std, "replications": args.replications,
            "n": args.n, "M": cfg.probes_for(args.n), "C": cfg.width_for(args.n), "seed": seed})
     return 0

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sampling
-from .models import ModelSpec, Trajectory, sample_trajectory
+from .models import ModelSpec, Trajectory, _integer, sample_trajectory
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
 from .sampling import ProbePlan, hit_ranks, probe_tvs, probe_tvs_block, sample_probe_points
 
@@ -31,6 +31,7 @@ class SampledAlpha:
     replications: int = 32
 
     def __post_init__(self):
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
         if self.replications < 2:
             raise ValueError("alpha estimation needs at least 2 replications")
 
@@ -62,6 +63,7 @@ class TestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not 0 < self.D < math.inf:
             raise ValueError(f"D must be positive and finite, got {self.D}")
         if not 0 < self.width_fraction < 1:
@@ -146,14 +148,9 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
 
 
 def statistic_samples(
-    gen_model: ModelSpec,
-    null_model: ModelSpec,
-    n: int,
-    cfg: TestConfig,
-    replications: int,
-    seed: int,
+    gen_model: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int
 ) -> np.ndarray:
-    """Statistic values against null_model on trajectories from gen_model.
+    """Statistic values against cfg.null_model on trajectories from gen_model.
 
     Each replication uses an independently derived trajectory seed and
     probe plan, so results are reproducible from (seed, index) alone.
@@ -165,7 +162,7 @@ def statistic_samples(
     if replications < 1:
         raise ValueError("need at least one replication")
     probes, width = cfg.probes_for(n), cfg.width_for(n)
-    per_block = max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * null_model.m))
+    per_block = max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * cfg.null_model.m))
     values = np.empty(replications)
     for b0 in range(0, replications, per_block):
         block = range(b0, min(b0 + per_block, replications))
@@ -173,15 +170,13 @@ def statistic_samples(
         for i in block:
             plans.append(sample_probe_points(n, probes, width, stream(seed, TAG_PROBES, i)))
             trajs.append(sample_trajectory(gen_model, n, derive_seed(seed, TAG_TRAJECTORY, i)))
-        tvs = probe_tvs_block(trajs, null_model, plans)[0]
+        tvs = probe_tvs_block(trajs, cfg.null_model, plans)[0]
         values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
     return values
 
 
-def sampling_radius_estimate(
-    model: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int
-) -> RadiusEstimate:
-    """Monte Carlo estimate of the model's expected statistic on itself.
+def sampling_radius_estimate(n: int, cfg: TestConfig, replications: int, seed: int) -> RadiusEstimate:
+    """Monte Carlo estimate of cfg.null_model's expected statistic on itself.
 
     Concentration of the statistic makes this estimable from few
     trajectories; the standard deviation is reported so callers can judge
@@ -189,7 +184,7 @@ def sampling_radius_estimate(
     """
     if replications < 2:
         raise ValueError("radius estimation needs at least 2 replications")
-    values = statistic_samples(model, model, n, cfg, replications, seed)
+    values = statistic_samples(cfg.null_model, n, cfg, replications, seed)
     return RadiusEstimate(mean=float(np.mean(values)), std=float(np.std(values, ddof=1)))
 
 
@@ -200,7 +195,7 @@ def threshold_radius(cfg: TestConfig, n: int, seed: int) -> RadiusEstimate:
     """
     if isinstance(cfg.alpha_mode, FixedAlpha):
         return RadiusEstimate(mean=cfg.alpha_mode.radius, std=0.0)
-    return sampling_radius_estimate(cfg.null_model, n, cfg, cfg.alpha_mode.replications, seed)
+    return sampling_radius_estimate(n, cfg, cfg.alpha_mode.replications, seed)
 
 
 def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
@@ -264,16 +259,14 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
     return total / replications
 
 
-def test_dynamic_graph(traj: Trajectory, cfg: TestConfig, seed: int | None = None) -> TestReport:
+def test_dynamic_graph(traj: Trajectory, cfg: TestConfig) -> TestReport:
     """Run the decision procedure on one trajectory.
 
     Decides 1 (not the null model) when the statistic exceeds
     radius + D/2, where the radius is the null's expected statistic from
-    cfg.alpha_mode. Deterministic given (traj, cfg, seed).
+    cfg.alpha_mode. Deterministic given (traj, cfg).
     """
-    if seed is None:
-        seed = cfg.seed
-    n = traj.n
+    seed, n = cfg.seed, traj.n
     plan = sample_probe_points(n, cfg.probes_for(n), cfg.width_for(n), stream(seed, TAG_PROBES, 0))
     stat = test_statistic(traj, cfg.null_model, plan)
     radius = threshold_radius(cfg, n, derive_seed(seed, TAG_RADIUS))

@@ -126,7 +126,8 @@ def run_success_experiment(cfg: ExperimentConfig) -> Table:
         for hyp, model in ((0, cfg.null_model), (1, cfg.alt_model)):
             for i in range(cfg.replications):
                 traj = sample_trajectory(model, n, derive_seed(seed, TAG_EXPERIMENT, k, 1 + hyp, i))
-                report = test_dynamic_graph(traj, tcn, seed=derive_seed(seed, TAG_EXPERIMENT, k, 3 + hyp, i))
+                tci = replace(tcn, seed=derive_seed(seed, TAG_EXPERIMENT, k, 3 + hyp, i))
+                report = test_dynamic_graph(traj, tci)
                 stats[hyp].append(report.S)
                 correct[hyp] += int(report.decision == hyp)
         acc0 = correct[0] / cfg.replications
@@ -146,10 +147,8 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
     header = ["n", "mean_S", "std_S", "cv"] + [f"exceed_{c:g}" for c in EXCEEDANCE_LEVELS]
     rows = []
     for k, n in enumerate(cfg.n_values):
-        values = statistic_samples(
-            cfg.null_model, cfg.null_model, n, tc, cfg.replications,
-            derive_seed(tc.seed, TAG_EXPERIMENT, k),
-        )
+        seed = derive_seed(tc.seed, TAG_EXPERIMENT, k)
+        values = statistic_samples(cfg.null_model, n, tc, cfg.replications, seed)
         mean = float(np.mean(values))
         std = float(np.std(values, ddof=1))
         cv = std / mean if mean > 0 else float("nan")
@@ -223,13 +222,12 @@ def calibrate_D(
         raise ValueError("calibration needs at least 10 replications")
     if m0 == m1:
         raise ValueError("models not separated at this n: identical mechanisms")
-    tc = TestConfig(
-        null_model=m0, D=1.0,
-        width_fraction=width_fraction, probe_fraction=probe_fraction, seed=seed,
+    tc = TestConfig(null_model=m0, D=1.0, width_fraction=width_fraction, probe_fraction=probe_fraction)
+    radius_null = sampling_radius_estimate(n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 0))
+    radius_alt = sampling_radius_estimate(
+        n, replace(tc, null_model=m1), replications, derive_seed(seed, TAG_EXPERIMENT, 1)
     )
-    radius_null = sampling_radius_estimate(m0, n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 0))
-    radius_alt = sampling_radius_estimate(m1, n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 1))
-    cross = statistic_samples(m1, m0, n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 2))
+    cross = statistic_samples(m1, n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 2))
     cross_mean = float(np.mean(cross))
     suggested = cross_mean - radius_null.mean
     if suggested <= 0:
@@ -260,9 +258,7 @@ def run_radius_scan(cfg: ExperimentConfig) -> Table:
     header = ["n", "radius_mean", "radius_std", "replications"]
     rows = []
     for k, n in enumerate(cfg.n_values):
-        est = sampling_radius_estimate(
-            cfg.null_model, n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, k)
-        )
+        est = sampling_radius_estimate(n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, k))
         rows.append([n, est.mean, est.std, cfg.replications])
     return Table(header, rows)
 
@@ -351,22 +347,32 @@ def test_config_to_dict(tc: TestConfig) -> dict:
     }
 
 
+def _alpha_mode_from_dict(d: dict) -> SampledAlpha | FixedAlpha:
+    if d["mode"] == "fixed":
+        return FixedAlpha(radius=float(d["radius"]))
+    if d["mode"] == "sampled":
+        return SampledAlpha(d.get("replications", SampledAlpha.replications))
+    raise ValueError(f"unknown alpha mode {d['mode']!r} (use 'sampled' or 'fixed')")
+
+
+def _parse(where: str, parse, d: dict):
+    """parse(d), with a key that d lacks reported as a ValueError naming the key and where."""
+    try:
+        return parse(d)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r} in {where}") from None
+
+
 def test_config_from_dict(d: dict) -> TestConfig:
-    """A missing field takes TestConfig's default; seed and replications must be integers."""
-    alpha = d.get("alpha_mode", {"mode": "sampled"})
-    if alpha["mode"] == "fixed":
-        mode = FixedAlpha(radius=float(alpha["radius"]))
-    elif alpha["mode"] == "sampled":
-        mode = SampledAlpha(_integer("replications", alpha.get("replications", SampledAlpha.replications)))
-    else:
-        raise ValueError(f"unknown alpha mode {alpha['mode']!r} (use 'sampled' or 'fixed')")
+    """A missing optional field takes TestConfig's default."""
+    mode = _parse("test_config.alpha_mode", _alpha_mode_from_dict, d.get("alpha_mode", {"mode": "sampled"}))
     return TestConfig(
-        null_model=model_from_dict(d["null_model"]),
+        null_model=_parse("test_config.null_model", model_from_dict, d["null_model"]),
         D=float(d["D"]),
         width_fraction=float(d.get("width_fraction", TestConfig.width_fraction)),
         probe_fraction=float(d.get("probe_fraction", TestConfig.probe_fraction)),
         alpha_mode=mode,
-        seed=_integer("seed", d.get("seed", TestConfig.seed)),
+        seed=d.get("seed", TestConfig.seed),
     )
 
 
@@ -383,18 +389,20 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    """Build the config from its dict form; a field of the wrong type raises ValueError."""
+    """Build the config from its dict form; a missing field or one of the wrong type raises ValueError."""
     alt = d.get("alt_model")
     try:
         return ExperimentConfig(
             experiment=d["experiment"],
-            null_model=model_from_dict(d["null_model"]),
-            alt_model=model_from_dict(alt) if alt else None,
+            null_model=_parse("null_model", model_from_dict, d["null_model"]),
+            alt_model=_parse("alt_model", model_from_dict, alt) if alt else None,
             n_values=tuple(d["n_values"]),
             replications=d["replications"],
-            test_config=test_config_from_dict(d["test_config"]),
+            test_config=_parse("test_config", test_config_from_dict, d["test_config"]),
             output_path=d.get("output_path", ""),
         )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r} in the experiment config") from None
     except TypeError as exc:
         raise ValueError(f"bad experiment config: {exc}") from exc
 

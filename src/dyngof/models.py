@@ -354,36 +354,19 @@ def read_trajectory(path: str) -> Trajectory:
     body = lines[1:]
     if len(body) != n - 1:
         raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")
-    choices = _parse_body(body, n, m)
-    if choices is None:
-        choices = _parse_rows(body, n, m)
-    return Trajectory(n, m, choices, label, seed)
-
-
-def _parse_body(body: list[str], n: int, m: int) -> np.ndarray | None:
-    """All targets in one C parse, or None where _parse_rows must decide.
-
-    Returns only a well-formed (n-1) x m array of in-range targets. Every
-    other body (a parse error, a warning, the wrong shape, a target out of
-    range) goes to the row-by-row reader, which gives the error message or
-    accepts what int() reads and loadtxt does not, such as 1_0. The array's
-    shape comes from the data, so a huge m in the header allocates nothing.
-    """
-    if not body:
-        return None
     try:
         with warnings.catch_warnings():
             # loadtxt warns on a body of blank lines (and numpy < 2 warns
             # on a float such as 3.0 read as an integer): both are rejects.
             warnings.simplefilter("error")
             choices = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        return Trajectory(n, m, choices, label, seed)
     except (ValueError, Warning):
-        return None
-    if choices.shape != (n - 1, m) or choices.min() < 1:
-        return None
-    if np.any(choices.max(axis=1) >= np.arange(2, n + 1)):  # row i is arrival t = i + 2
-        return None
-    return choices
+        pass
+    # Trajectory rejected the shape or range, or loadtxt the text: the row
+    # parse gives the error message, or accepts what int() reads and
+    # loadtxt does not, such as 1_0.
+    return Trajectory(n, m, _parse_rows(body, n, m), label, seed)
 
 
 def _parse_rows(body: list[str], n: int, m: int) -> np.ndarray:

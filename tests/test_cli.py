@@ -296,6 +296,22 @@ class TestExperimentCommand:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("config, key, where", [
+        ({"null_model": {"m": 1}}, "'kind'", "null_model"),
+        ({"test_config": {"seed": 4, "alpha_mode": {}}}, "'mode'", "test_config.alpha_mode"),
+        ({"test_config": {"seed": 4, "alpha_mode": {"mode": "fixed"}}}, "'radius'", "test_config.alpha_mode"),
+    ], ids=["null-model-kind", "alpha-mode", "alpha-radius"])
+    def test_missing_config_field_is_named(self, tmp_path, config, key, where):
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+        assert key in proc.stderr and f" {where}" in proc.stderr
+        assert proc.stdout == ""
+
     def test_nonpositive_m_flag_is_usage_error(self, tmp_path):
         proc = run_cli("experiment", "--experiment", "radius-scan", "--m0", "pa", "--m", "0",
                        "--n-values", "40", "--replications", "3", "--seed", "9",

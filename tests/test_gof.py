@@ -130,18 +130,28 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="finite"):
                 FixedAlpha(radius=radius)
 
+    @pytest.mark.parametrize("seed", [True, 4.9])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match="seed: expected an integer"):
+            TestConfig(null_model=PA, D=1.0, seed=seed)
+
+    @pytest.mark.parametrize("replications", [2.7, "3"])
+    def test_rejects_non_integral_alpha_replications(self, replications):
+        with pytest.raises(ValueError, match="replications: expected an integer"):
+            SampledAlpha(replications)
+
 
 class TestSamplingRadiusEstimate:
     CFG = TestConfig(null_model=PA, D=1.0, width_fraction=0.5, probe_fraction=0.5, seed=0)
 
     def test_bounds(self):
-        est = sampling_radius_estimate(PA, 40, self.CFG, 16, seed=5)
+        est = sampling_radius_estimate(40, self.CFG, 16, seed=5)
         assert 0.0 <= est.mean <= self.CFG.probes_for(40)
         assert est.std >= 0.0
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
-            sampling_radius_estimate(PA, 40, self.CFG, 1, seed=5)
+            sampling_radius_estimate(40, self.CFG, 1, seed=5)
 
     def test_matches_exact_plan_averaged_expectation(self):
         # At n=4 with width 2 the probe range is {2, 3}; the exact
@@ -151,7 +161,7 @@ class TestSamplingRadiusEstimate:
             + exact_expected_statistic(PA, 4, [3], 2)
         )  # = M(4)=2 probes, each uniform over {2, 3}
         assert exact == Fraction(5, 16)
-        est = sampling_radius_estimate(PA, 4, self.CFG, 4000, seed=17)
+        est = sampling_radius_estimate(4, self.CFG, 4000, seed=17)
         se = est.std / 4000**0.5
         assert abs(est.mean - float(exact) / 2 * 2) <= 3 * se
 
@@ -160,7 +170,7 @@ class TestSamplingRadiusEstimate:
         variances = []
         for reps in (10, 40, 160):
             means = [
-                sampling_radius_estimate(PA, 30, self.CFG, reps, seed=derive_seed(99, reps, k)).mean
+                sampling_radius_estimate(30, self.CFG, reps, seed=derive_seed(99, reps, k)).mean
                 for k in range(30)
             ]
             variances.append(np.var(means, ddof=1))
@@ -172,8 +182,8 @@ class TestSamplingRadiusEstimate:
         assert threshold_radius(fixed, 40, seed=5) == RadiusEstimate(mean=3.5, std=0.0)
         sampled = replace(self.CFG, alpha_mode=SampledAlpha(6))
         est = threshold_radius(sampled, 40, seed=5)
-        assert est == sampling_radius_estimate(PA, 40, sampled, 6, seed=5)
-        report = test_dynamic_graph(sample_trajectory(PA, 40, seed=2), sampled, seed=9)
+        assert est == sampling_radius_estimate(40, sampled, 6, seed=5)
+        report = test_dynamic_graph(sample_trajectory(PA, 40, seed=2), replace(sampled, seed=9))
         radius = threshold_radius(sampled, 40, derive_seed(9, TAG_RADIUS))
         assert (report.radius_estimate, report.radius_std) == (radius.mean, radius.std)
 
@@ -263,16 +273,16 @@ class TestConcentrationTrend:
         # desk-scale check: the statistic's coefficient of variation drops
         # as trajectories lengthen
         tc = TestConfig(null_model=PA, D=1.0, width_fraction=0.1, probe_fraction=0.5, seed=0)
-        small = statistic_samples(PA, PA, 120, tc, 30, seed=51)
-        large = statistic_samples(PA, PA, 960, tc, 30, seed=52)
+        small = statistic_samples(PA, 120, tc, 30, seed=51)
+        large = statistic_samples(PA, 960, tc, 30, seed=52)
         cv_small = np.std(small, ddof=1) / np.mean(small)
         cv_large = np.std(large, ddof=1) / np.mean(large)
         assert cv_large < cv_small
 
     def test_statistic_samples_reproducible(self):
         tc = TestConfig(null_model=PA, D=1.0, seed=0)
-        a = statistic_samples(UNI, PA, 80, tc, 5, seed=13)
-        b = statistic_samples(UNI, PA, 80, tc, 5, seed=13)
+        a = statistic_samples(UNI, 80, tc, 5, seed=13)
+        b = statistic_samples(UNI, 80, tc, 5, seed=13)
         np.testing.assert_array_equal(a, b)
 
 
@@ -287,7 +297,7 @@ def reference_samples(gen, null, n, cfg, replications, seed):
 
 
 def assert_samples_match_reference(gen, null, n, cfg, replications, seed):
-    got = statistic_samples(gen, null, n, cfg, replications, seed)
+    got = statistic_samples(gen, n, replace(cfg, null_model=null), replications, seed)
     want = reference_samples(gen, null, n, cfg, replications, seed)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -325,9 +335,9 @@ class TestStatisticSamplesBlocks:
     def test_horizon_below_two_is_infeasible(self, n):
         cfg = TestConfig(null_model=PA, D=1.0)
         with pytest.raises(ValueError, match="window exceeds horizon"):
-            statistic_samples(PA, PA, n, cfg, 4, seed=1)
+            statistic_samples(PA, n, cfg, 4, seed=1)
         with pytest.raises(ValueError, match="window exceeds horizon"):
-            sampling_radius_estimate(PA, n, cfg, 4, seed=1)
+            sampling_radius_estimate(n, cfg, 4, seed=1)
 
     @pytest.mark.parametrize("m, n", [(1, 2100), (3, 700)])
     def test_block_of_one_replication(self, m, n):

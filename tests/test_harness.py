@@ -86,6 +86,8 @@ class TestExperimentConfig:
             base_config(EXPERIMENT_SUCCESS, n_values=())
         with pytest.raises(ValueError):
             base_config(EXPERIMENT_SUCCESS, n_values=(90, 60))
+        with pytest.raises(ValueError, match="replications must be at least 1"):
+            base_config(EXPERIMENT_SUCCESS, replications=0)
 
     @pytest.mark.parametrize("field", [
         {"n_values": (60, 90.5)}, {"n_values": (60.0,)}, {"n_values": ("60",)}, {"n_values": (True,)},
@@ -166,6 +168,13 @@ class TestTailDiagnostic:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 1000"):
             tail_exponent_diagnostic(PA, 500, 2, seed=1)
+        with pytest.raises(ValueError, match="need at least one replication"):
+            tail_exponent_diagnostic(PA, 1000, 0, seed=1)
+
+    def test_rejects_insufficient_tail(self):
+        # With a = 1e6 attachment is nearly uniform: few bins lie at or above the degree-10 probability.
+        with pytest.raises(ValueError, match="insufficient tail"):
+            tail_exponent_diagnostic(affine_pref_attach(1e6), 1000, 1, 3)
 
     def test_uniform_spectrum_degenerate(self):
         diag = tail_exponent_diagnostic(UNI, 1500, 1, seed=2)

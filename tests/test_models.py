@@ -224,6 +224,8 @@ class TestReplay:
             replay(traj, 0)
         with pytest.raises(ValueError):
             replay(traj, 6)
+        with pytest.raises(ValueError, match=r"t must be in \[1, 5\]"):
+            IncrementalReplay(traj).advance(6)
 
     def test_incremental_matches_batch(self):
         traj = sample_trajectory(pref_attach(m=2), 80, seed=17)
@@ -291,6 +293,9 @@ class TestModelSpec:
                 ModelSpec("affine-pa", a=a)
         with pytest.raises(ValueError):
             ModelSpec("nonsense")
+        for kind, a in (("pa", 1.0), ("uniform", 0.5)):
+            with pytest.raises(ValueError, match="a is only meaningful for affine-pa"):
+                ModelSpec(kind, a=a)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, True, "2", None])
     def test_rejects_non_integral_m(self, m):

@@ -37,6 +37,8 @@ class TestEnumerateTrajectories:
             enumerate_trajectories(PA, 7)
         with pytest.raises(ValueError, match="m = 1"):
             enumerate_trajectories(pref_attach(m=2), 4)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            enumerate_trajectories(PA, 1)
 
 
 class TestExactExpectedStatistic:
@@ -59,6 +61,8 @@ class TestExactExpectedStatistic:
         for width in (0, -1):
             with pytest.raises(ValueError, match="width must be positive"):
                 exact_expected_statistic(PA, 4, [2, 3], width)
+        with pytest.raises(ValueError, match="need at least one probe"):
+            exact_expected_statistic(PA, 4, [], 2)
 
     def test_matches_float_path_on_full_space(self):
         # probability-weighted test_statistic over every trajectory must

@@ -223,9 +223,9 @@ def test_block_matches_each_replication_alone(m, case):
 def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
     # The budget sets both the replications per block and the pairs per batch.
     cfg = TestConfig(null_model=model, D=1.0, width_fraction=0.2)
-    want = statistic_samples(pref_attach(2), model, 120, cfg, 40, seed=budget)
+    want = statistic_samples(pref_attach(2), 120, cfg, 40, seed=budget)
     monkeypatch.setattr(sampling, "BATCH_ELEMENTS", budget)
-    got = statistic_samples(pref_attach(2), model, 120, cfg, 40, seed=budget)
+    got = statistic_samples(pref_attach(2), 120, cfg, 40, seed=budget)
     np.testing.assert_array_equal(bits(got), bits(want))
 
 

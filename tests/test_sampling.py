@@ -76,6 +76,12 @@ class TestProbePlan:
         with pytest.raises(ValueError):
             ProbePlan(points=np.array([1, 3]), width=2)
 
+    def test_rejects_empty_plan_and_nonpositive_width(self):
+        with pytest.raises(ValueError, match="plan needs at least one probe point"):
+            ProbePlan(points=np.array([], dtype=np.int64), width=2)
+        with pytest.raises(ValueError, match="width must be positive"):
+            ProbePlan(points=np.array([2, 3]), width=0)
+
     def test_repeats_allowed(self):
         plan = ProbePlan(points=np.array([3, 3, 3]), width=2)
         assert plan.count == 3
