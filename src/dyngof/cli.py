@@ -213,7 +213,7 @@ def _cmd_experiment(args) -> int:
         base["output_path"] = args.out
     tc = base.get("test_config", {})
     if not isinstance(tc, dict):
-        raise CliError("config field test_config must be a JSON object")
+        raise CliError(f"test_config must be a JSON object, got {type(tc).__name__}")
     if "null_model" not in tc and "null_model" in base:
         tc["null_model"] = base["null_model"]
     if args.D is not None:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sampling
-from .models import ModelSpec, Trajectory, _integer, sample_trajectory
+from .models import ModelSpec, Trajectory, _integer, check_targets, sample_choices
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
 from .sampling import ProbePlan, hit_ranks, probe_tvs, probe_tvs_block, sample_probe_points
 
@@ -147,6 +147,11 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     return StatisticResult(S=float(probe_sum(tvs)), per_probe_tv=list(tvs), kept=int(kept.sum()))
 
 
+def _per_block(n: int, m: int) -> int:
+    """Replications per block at horizon n: at least one, and their choices fit sampling.BATCH_ELEMENTS."""
+    return max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * m))
+
+
 def statistic_samples(
     gen_model: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int
 ) -> np.ndarray:
@@ -154,23 +159,22 @@ def statistic_samples(
 
     Each replication uses an independently derived trajectory seed and
     probe plan, so results are reproducible from (seed, index) alone.
-    Replications are scored in blocks of up to
-    sampling.BATCH_ELEMENTS // ((n-1)*m), at least one, with one
-    probe_tvs_block pass each; every value has the bits test_statistic
-    gives that replication.
+    Replications run in blocks of up to _per_block(n, m): one
+    models.sample_choices call draws a block's stacked trajectories, one
+    range check covers them, and one probe_tvs_block pass scores them.
+    Every value has the bits test_statistic gives that replication.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     probes, width = cfg.probes_for(n), cfg.width_for(n)
-    per_block = max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * cfg.null_model.m))
+    per_block = _per_block(n, cfg.null_model.m)
     values = np.empty(replications)
     for b0 in range(0, replications, per_block):
         block = range(b0, min(b0 + per_block, replications))
-        plans, trajs = [], []
-        for i in block:
-            plans.append(sample_probe_points(n, probes, width, stream(seed, TAG_PROBES, i)))
-            trajs.append(sample_trajectory(gen_model, n, derive_seed(seed, TAG_TRAJECTORY, i)))
-        tvs = probe_tvs_block(trajs, cfg.null_model, plans)[0]
+        plans = [sample_probe_points(n, probes, width, stream(seed, TAG_PROBES, i)) for i in block]
+        choices = sample_choices(gen_model, n, [derive_seed(seed, TAG_TRAJECTORY, i) for i in block])
+        check_targets(choices)
+        tvs = probe_tvs_block(choices, cfg.null_model, plans)[0]
         values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
     return values
 
@@ -206,34 +210,57 @@ def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
     So the one-step TV is H_j / (2*N0*N1*j) with H_j = sum_v g(d_v) and
     g(d) = |A*d + B|, A = beta0*N1 - beta1*N0, B = a0*N1 - a1*N0. H grows
     by g(m) per arrival and by g(d+1) - g(d) per hit on a vertex of degree
-    d, so one stable sort of the choices and one cumsum give every H_j:
-    O(n*m*log(n*m)) time, O(n*m) memory. With integer or dyadic shifts
-    every H_j is exact. The mean over trajectories drawn from m1 is the
-    model distance dn(m0, m1) at horizon traj.n.
+    d, so one sort of the choices by target and time and one cumsum give
+    every H_j: O(n*m*log(n*m)) time, O(n*m) memory. With integer or
+    dyadic shifts every H_j is exact. The mean over trajectories drawn
+    from m1 is the model distance dn(m0, m1) at horizon traj.n. This is
+    dn_summands on a block of one.
     """
-    if not m0.m == m1.m == traj.m:
+    return dn_summands(m0, m1, traj.choices[None])[0]
+
+
+def dn_summands(m0: ModelSpec, m1: ModelSpec, choices: np.ndarray) -> list[float]:
+    """dn_summand of each trajectory of a (K, n-1, m) stack, in one pass, with its bits.
+
+    Replication k of K maps vertex v to the key v*K + k, so one sort
+    orders the block by target, replication and time, and vertex 1 holds
+    the keys below 2K. The bincount of gains sums each (replication,
+    row) bin in the order a lone sort gives, H runs its cumsum per row, and
+    each row keeps its own np.sum.
+    """
+    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    if not m0.m == m1.m == m:
         raise ValueError("models and trajectory disagree on edges per arrival")
-    m = traj.m
     n0 = 2 * m * m0.beta + m0.shift
     n1 = 2 * m * m1.beta + m1.shift
     A = m0.beta * n1 - m1.beta * n0
     B = m0.shift * n1 - m1.shift * n0
     # Arrival n never conditions a state, so only arrivals 2..n-1 count.
-    rows = traj.n - 2
-    flat = traj.choices[:rows].ravel()
-    order = np.argsort(flat, kind="stable")
-    targets = flat[order]
+    rows = n - 2
+    keys = choices[:, :rows]
+    if reps > 1:
+        keys = keys * reps + np.arange(reps)[:, None, None]
+    # Element e of the flat stack sorts as (key << shift) | e: one sort of
+    # distinct integers puts the hits in target order and each target's
+    # hits in time order, the permutation a stable argsort gives.
+    shift = keys.size.bit_length()
+    key = keys.reshape(-1) << shift
+    key |= np.arange(key.size)
+    key.sort()
+    targets, order = key >> shift, key & ((1 << shift) - 1)
     # A hit's degree just before it: base degree plus its rank among the
-    # hits on its target, which the stable sort keeps in time order.
-    before = hit_ranks(targets) + np.where(targets == 1, 2 * m, m)
+    # hits on its target.
+    before = hit_ranks(targets) + np.where(targets < 2 * reps, 2 * m, m)
     gain = np.abs(A * (before + 1) + B) - np.abs(A * before + B)
-    H = np.empty(traj.n - 1)
+    H = np.empty((reps, n - 1))
     # g(2m) = |N0*N1 - N1*N0| = 0: at j = 1 both laws put all mass on vertex 1.
-    H[0] = 0.0
-    H[1:] = np.bincount(order // m, weights=gain, minlength=rows) + abs(A * m + B)
-    np.cumsum(H, out=H)
-    tv = H / (2 * n0 * n1 * np.arange(1, traj.n))
-    return 0.5 * float(np.sum(np.clip(tv, 0.0, 1.0)))
+    H[:, 0] = 0.0
+    hits = np.bincount(order // m, weights=gain, minlength=reps * rows).reshape(reps, rows)
+    np.add(hits, abs(A * m + B), out=H[:, 1:])
+    np.cumsum(H, axis=1, out=H)
+    H /= 2 * n0 * n1 * np.arange(1, n)  # each step's TV
+    np.clip(H, 0.0, 1.0, out=H)
+    return [0.5 * float(np.sum(tv)) for tv in H]
 
 
 def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: int) -> float:
@@ -247,15 +274,23 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
     time j, so the step-j TV is sum_v |A*deg(v) + B| / (2j) for constants
     A, B fixed by the two models' (beta, a). dn_summand keeps that degree
     sum up to date hit by hit: O(n*m*log(n*m)) per replication, not O(n^2).
+    Replications run in blocks of up to _per_block(n, m), as in
+    statistic_samples: one models.sample_choices call and one range check
+    per block, then one dn_summands pass; the summands are added in
+    replication order.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if m0.m != m1.m:
         raise ValueError("models disagree on edges per arrival")
+    per_block = _per_block(n, m1.m)
     total = 0.0
-    for i in range(replications):
-        traj = sample_trajectory(m1, n, derive_seed(seed, TAG_DISTANCE, i))
-        total += dn_summand(m0, m1, traj)
+    for b0 in range(0, replications, per_block):
+        block = range(b0, min(b0 + per_block, replications))
+        choices = sample_choices(m1, n, [derive_seed(seed, TAG_DISTANCE, i) for i in block])
+        check_targets(choices)
+        for value in dn_summands(m0, m1, choices):
+            total += value
     return total / replications
 
 

@@ -356,7 +356,9 @@ def _alpha_mode_from_dict(d: dict) -> SampledAlpha | FixedAlpha:
 
 
 def _parse(where: str, parse, d: dict):
-    """parse(d), with a key that d lacks reported as a ValueError naming the key and where."""
+    """parse(d); a d that is not a dict, or a key it lacks, raises a ValueError naming where."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
     try:
         return parse(d)
     except KeyError as exc:

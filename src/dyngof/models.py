@@ -192,11 +192,20 @@ class Trajectory:
         choices = np.ascontiguousarray(self.choices, dtype=np.int64)
         if choices.shape != (self.n - 1, self.m):
             raise ValueError(f"choices must have shape {(self.n - 1, self.m)}")
-        upper = np.arange(1, self.n, dtype=np.int64)[:, None]  # t-1 per row
-        if np.any(choices < 1) or np.any(choices > upper):
-            raise ValueError("choice targets must lie in {1, ..., t-1}")
+        check_targets(choices)
         choices.setflags(write=False)
         object.__setattr__(self, "choices", choices)
+
+
+def check_targets(choices: np.ndarray) -> None:
+    """Raise ValueError unless every target of arrival t = row + 2 lies in {1, ..., t-1}.
+
+    Rows run along the second-to-last axis, so a (K, n-1, m) stack of
+    trajectories is checked in one pass.
+    """
+    upper = np.arange(1, choices.shape[-2] + 1, dtype=np.int64)[:, None]  # t-1 per row
+    if np.any(choices < 1) or np.any(choices > upper):
+        raise ValueError("choice targets must lie in {1, ..., t-1}")
 
 
 def step_distribution(model: ModelSpec, state: DegreeState) -> ProbVector:
@@ -244,17 +253,38 @@ def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:
     The m choices of each arrival are drawn iid from the frozen
     distribution of the previous snapshot; degrees update only after the
     whole arrival. Identical (model, n, seed) gives bit-identical output.
+    This is sample_choices on one seed.
+    """
+    return Trajectory(n, model.m, sample_choices(model, n, [seed])[0], model.label, seed)
+
+
+def _stacked(rngs: list[np.random.Generator], draw, *args) -> np.ndarray:
+    """draw(rng, *args) of each stream along a new first axis; a lone stream's draw is not copied."""
+    if len(rngs) == 1:
+        return draw(rngs[0], *args)[None]
+    return np.stack([draw(rng, *args) for rng in rngs])
+
+
+def sample_choices(model: ModelSpec, n: int, seeds: list[int]) -> np.ndarray:
+    """The (K, n-1, m) choices of K trajectories of n vertices, one per seed.
+
+    Entry k is the choices array of sample_trajectory(model, n, seeds[k]):
+    each seed's stream draws as it would alone, and every pass after the
+    draws runs once over the whole stack. One seed's draws are worked on in
+    place, with no copy into a stack.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    m = model.m
-    rng = stream(seed)
+    m, reps = model.m, len(seeds)
+    rngs = [stream(seed) for seed in seeds]
     # Arrival t = i + 2 (row i) draws from {1, ..., t-1}. Each draw below is
     # one broadcast call over all rows, which gives the same stream as one
     # call of size m per arrival.
     rows = np.arange(1, n, dtype=np.int64)[:, None]  # t - 1
+    shape = (n - 1, m)
+    integers = np.random.Generator.integers
     if model.beta == 0:
-        return Trajectory(n, m, rng.integers(1, np.broadcast_to(rows + 1, (n - 1, m))), model.label, seed)
+        return _stacked(rngs, integers, 1, np.broadcast_to(rows + 1, shape))
     # P(v) = w * deg(v) / (2mt) + (1 - w) / t with w = 2m*beta / (2m*beta + a),
     # independent of t: a fixed-weight mixture of a degree-proportional pick
     # and a uniform pick. The degree part is a uniform pick from an endpoint
@@ -263,37 +293,41 @@ def sample_trajectory(model: ModelSpec, n: int, seed: int) -> Trajectory:
     # arrival t picks among slots [0, 2m(t-1)). Only a slot's content
     # depends on earlier draws, so all slot indices are drawn at once.
     two_m = 2 * m
-    x = rng.integers(0, np.broadcast_to(two_m * rows, (n - 1, m)))
+    x = _stacked(rngs, integers, 0, np.broadcast_to(two_m * rows, shape))
     # Slot s = 2m*r + c holds vertex r + 1 if r == 0 or c >= m; otherwise it
     # holds the target of the earlier choice k = (r-1)*m + c, which x keeps
     # as the pointer -(k + 1) = (m - 1 - c) - m*r < 0 until it is resolved.
-    # In place, so r is the only extra (n-1) x m array: x becomes c, then
+    # In place, so r is the only extra array of x's size: x becomes c, then
     # 1 or m - 1 - c, then adds r or -m*r.
     r = np.empty_like(x)
     np.divmod(x, two_m, out=(r, x))
     pointer = (x < m) & (r > 0)
     np.subtract(m - 1, x, out=x)
     np.copyto(x, 1, where=~pointer)
+    if reps > 1:
+        # A pointer of replication k also skips the k*(n-1)*m choices of the
+        # replications before it in the flat stack.
+        np.add(r, (n - 1) * np.arange(reps)[:, None, None], out=r, where=pointer)
     np.multiply(r, -m, out=r, where=pointer)
     x += r
     del r, pointer
     if model.shift:
         # Block order: all slots, then all uniform picks, then all coins;
         # a choice whose coin is not below w takes its uniform pick.
-        picks = rng.integers(1, np.broadcast_to(rows + 1, (n - 1, m)))
+        picks = _stacked(rngs, integers, 1, np.broadcast_to(rows + 1, shape))
         w = two_m * model.beta / (two_m * model.beta + model.shift)
-        np.copyto(x, picks, where=rng.random((n - 1, m)) >= w)
+        np.copyto(x, picks, where=_stacked(rngs, np.random.Generator.random, shape) >= w)
         del picks
     # Pointer jumping: each pass replaces a pointer by what it points at, a
     # vertex or that choice's own pointer, so a chain of length L resolves
     # in about log2(L) + 1 passes.
-    x = x.ravel()
-    todo = np.flatnonzero(x < 0)
+    flat = x.reshape(-1)
+    todo = np.flatnonzero(flat < 0)
     while todo.size:
-        ahead = x[-1 - x[todo]]
-        x[todo] = ahead
+        ahead = flat[-1 - flat[todo]]
+        flat[todo] = ahead
         todo = todo[ahead < 0]
-    return Trajectory(n, m, x.reshape(n - 1, m), model.label, seed)
+    return x
 
 
 def replay(traj: Trajectory, t: int) -> DegreeState:

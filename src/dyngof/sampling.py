@@ -161,42 +161,45 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
     feasible for traj raises ValueError. This is probe_tvs_block on a block
     of one.
     """
-    return probe_tvs_block([traj], model, [plan])
+    return probe_tvs_block(traj.choices[None], model, [plan])
 
 
 def probe_tvs_block(
-    trajs: list[Trajectory], model: ModelSpec, plans: list[ProbePlan]
+    choices: np.ndarray, model: ModelSpec, plans: list[ProbePlan]
 ) -> tuple[np.ndarray, np.ndarray]:
     """probe_tvs of each (trajectory, plan) pair, in one pass over the block.
 
-    The trajectories must share n and m, and the plans one width that fits
-    n; a block that breaks this raises ValueError. Replication
-    k maps vertex v to k*n + v, row to k*n + row and element e to k*n*m + e,
-    so one sort orders the block by replication, target and time, and each
-    difference array covers the K*n starts of all replications. The float
-    cumsum of the hit weights, the suffix minimum h and its searchsorted cut
-    run per replication, so every probe gets the bits probe_tvs gives it
-    alone. Returns the TVs and kept counts of all plans' probes, plan after
-    plan.
+    choices is the (K, n-1, m) stack of the K trajectories' choices, as
+    models.sample_choices draws it, and gives the block's n and m; it is
+    read as valid trajectories and not checked. The plans must share one
+    width that fits n; a block that breaks this raises ValueError.
+    Replication k maps vertex v to k*n + v, row to k*n + row and element e
+    to k*n*m + e, so one sort orders the block by replication, target and
+    time, and each difference array covers the K*n starts of all
+    replications. The float cumsum of the hit weights, the suffix minimum
+    h and its searchsorted cut run per replication, so every probe gets the
+    bits probe_tvs gives it alone. Returns the TVs and kept counts of all
+    plans' probes, plan after plan.
     """
-    n, m, width = trajs[0].n, trajs[0].m, plans[0].width
-    if len(plans) != len(trajs):
-        raise ValueError(f"block has {len(trajs)} trajectories but {len(plans)} plans")
-    if any(traj.n != n or traj.m != m for traj in trajs):
-        raise ValueError("block trajectories disagree on n or m")
+    if choices.ndim != 3 or 0 in choices.shape:
+        raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
+    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    if len(plans) != reps:
+        raise ValueError(f"block has {reps} trajectories but {len(plans)} plans")
+    width = plans[0].width
     if model.m != m:
         raise ValueError("null model and trajectory disagree on edges per arrival")
     if any(plan.width != width for plan in plans):
         raise ValueError("block plans disagree on window width")
     if not all(plan.feasible_for(n) for plan in plans):
         raise ValueError("infeasible plan: window runs past the trajectory")
-    reps, total = len(trajs), (n - 1) * m  # choices per replication
+    total = (n - 1) * m  # choices per replication
     bounds = np.arange(reps + 1)
     origin = bounds[:-1] * n  # each replication's vertex and row 0
     # Element e = row*m + j, ordered by target and then by time: key
     # (v << shift) | e. Replication k adds k*n to v and k*n*m to e.
     shift = (reps * n * m).bit_length()
-    key = np.concatenate([traj.choices.ravel() + o for o, traj in zip(origin, trajs)]).reshape(reps, total)
+    key = choices.reshape(reps, total) + origin[:, None]
     key <<= shift
     key |= np.arange(reps * n * m).reshape(reps, n * m)[:, :total]
     key = key.ravel()

@@ -312,6 +312,25 @@ class TestExperimentCommand:
         assert key in proc.stderr and f" {where}" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("config, message", [
+        ({"null_model": "pa"}, "null_model must be a JSON object, got str"),
+        ({"alt_model": ["uniform"]}, "alt_model must be a JSON object, got list"),
+        ({"test_config": "default"}, "test_config must be a JSON object, got str"),
+        ({"test_config": {"seed": 4, "null_model": 3}},
+         "test_config.null_model must be a JSON object, got int"),
+        ({"test_config": {"seed": 4, "alpha_mode": "sampled"}},
+         "test_config.alpha_mode must be a JSON object, got str"),
+    ], ids=["null-model", "alt-model", "test-config", "test-config-null-model", "alpha-mode"])
+    def test_config_field_that_is_not_an_object_is_named(self, tmp_path, config, message):
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
     def test_nonpositive_m_flag_is_usage_error(self, tmp_path):
         proc = run_cli("experiment", "--experiment", "radius-scan", "--m0", "pa", "--m", "0",
                        "--n-values", "40", "--replications", "3", "--seed", "9",

@@ -118,6 +118,13 @@ class TestExperimentConfig:
     def test_test_config_defaults_are_test_config_defaults(self):
         assert config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0}) == TestConfig(null_model=PA, D=1.0)
 
+    @pytest.mark.parametrize("field", ["null_model", "alt_model", "test_config"])
+    def test_sub_object_of_wrong_type_is_named(self, field):
+        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        d[field] = "pa"
+        with pytest.raises(ValueError, match=f"^{field} must be a JSON object, got str$"):
+            experiment_config_from_dict(d)
+
     def test_fixed_alpha_round_trips(self):
         cfg = base_config(EXPERIMENT_CONCENTRATION, replications=12)
         assert experiment_config_from_dict(experiment_config_to_dict(cfg)) == cfg

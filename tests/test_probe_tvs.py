@@ -210,7 +210,7 @@ def test_block_matches_each_replication_alone(m, case):
     reps = int(draw.integers(1, 9))
     trajs = [sample_trajectory(gen, n, int(draw.integers(1 << 30))) for _ in range(reps)]
     plans = [block_plans(n, width, int(draw.integers(1, 2 * n)), draw) for _ in range(reps)]
-    tvs, kept = sampling.probe_tvs_block(trajs, null, plans)
+    tvs, kept = sampling.probe_tvs_block(np.stack([t.choices for t in trajs]), null, plans)
     at = np.cumsum([0] + [plan.count for plan in plans])
     for k, (traj, plan) in enumerate(zip(trajs, plans)):
         alone_tvs, alone_kept = probe_tvs(traj, null, plan)
@@ -231,8 +231,8 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
 
 @pytest.mark.parametrize("case, message", [
     ("widths", "window width"),
-    ("n", "n or m"),
-    ("m", "n or m"),
+    ("n", "must be a nonempty stack"),
+    ("m", "disagree on edges per arrival"),
     ("infeasible", "infeasible plan"),
     ("count", "2 trajectories but 1 plans"),
 ])
@@ -241,13 +241,14 @@ def test_block_contract_is_checked(case, message):
     plans = [ProbePlan(points=np.array([50, 120]), width=20)] * 2
     if case == "widths":
         plans[1] = ProbePlan(points=np.array([50, 120]), width=40)
-    elif case == "n":
-        trajs[1] = sample_trajectory(pref_attach(), 150, 2)
     elif case == "m":
-        trajs[1] = sample_trajectory(pref_attach(2), 200, 2)
+        trajs = [sample_trajectory(pref_attach(2), 200, seed) for seed in (1, 2)]
     elif case == "infeasible":
         plans[1] = ProbePlan(points=np.array([50, 190]), width=20)
-    else:
+    elif case == "count":
         plans = plans[:1]
+    choices = np.stack([t.choices for t in trajs])
+    if case == "n":
+        choices = choices[0]  # one trajectory's (n-1, m) array, not a stack
     with pytest.raises(ValueError, match=message):
-        sampling.probe_tvs_block(trajs, pref_attach(), plans)
+        sampling.probe_tvs_block(choices, pref_attach(), plans)
