@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,15 +347,43 @@ _VERSION = "v1"
 def write_trajectory(traj: Trajectory, path: str) -> None:
     """Write the v1 text format: header, then one line of targets per arrival.
 
-    The body is one %-format over all (n-1)*m targets, so no Python code runs
-    per target; the bytes are those of joining str(v) row by row.
+    The body is built by numpy as one ASCII buffer (_ascii_body), so no
+    Python code runs per target; the bytes are those of joining str(v) row
+    by row.
     """
     header = f"{_MAGIC} {_VERSION} n={traj.n} m={traj.m} model={traj.model_label} seed={traj.seed}\n"
-    row = " ".join(["%d"] * traj.m) + "\n"
-    body = "".join([row] * (traj.n - 1)) % tuple(traj.choices.ravel().tolist())
+    body = _ascii_body(traj.choices)
     with open(path, "w") as fh:
         fh.write(header)
         fh.write(body)
+
+
+def _ascii_body(choices: np.ndarray) -> str:
+    """The targets as decimal text: ' ' between the m of a row, '\\n' after it.
+
+    Each target fills one row of a digit-plane matrix, its digits right
+    aligned and its separator last, one column per pass. Leading-zero cells
+    hold NUL, and one bytes.translate over the C-order matrix deletes them.
+    """
+    values = choices.ravel()
+    if values.size == 0:
+        return ""
+    top = int(values.max())
+    if top < 2**32:
+        values = values.astype(np.uint32)  # a uint32 // 10 is a multiply and a shift
+    width = len(str(top))
+    m = choices.shape[1]
+    cells = np.empty((values.size, width + 1), dtype=np.uint8)
+    cells[:, width] = ord(" ")
+    cells[m - 1 :: m, width] = ord("\n")
+    rest = values
+    for col in range(width - 1, -1, -1):
+        quotient = rest // 10
+        # The cell is '0' + digit, or NUL left of the leading digit.
+        base = ord("0") if col == width - 1 else (values >= 10 ** (width - 1 - col)) * np.uint32(ord("0"))
+        np.subtract(rest, quotient * 10 - base, out=cells[:, col], casting="unsafe")
+        rest = quotient
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def read_trajectory(path: str) -> Trajectory:
@@ -364,15 +391,42 @@ def read_trajectory(path: str) -> Trajectory:
 
     A body line holds m targets separated by whitespace (str.split); each
     target is a token that int() accepts and lies in {1, ..., t-1} for the
-    arrival t = line number + 1.
+    arrival t = line number + 1. A body in the writer's own layout is parsed
+    in one numpy pass (_canonical_body); any other, and any body Trajectory
+    rejects, goes to the row parse, which gives every error message.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty trajectory file")
-    head = lines[0].split()
+        text = fh.read()
+    end = text.find("\n")
+    head = text if end < 0 else text[:end]
+    lines = None
+    if head.splitlines() != [head]:
+        # The file is empty, or another line break (\x0b, \x85, ...) ends
+        # the header before the first "\n": split lines as the row parse does.
+        lines = text.splitlines()
+        if not lines:
+            raise ValueError("empty trajectory file")
+        head = lines[0]
+    n, m, seed, label = _parse_header(head)
+    if lines is None:
+        choices = _canonical_body(text[len(head) + 1 :].encode(), n, m)
+        if choices is not None:
+            try:
+                return Trajectory(n, m, choices, label, seed)
+            except ValueError:
+                pass  # the row parse names the target at fault
+        lines = text.splitlines()
+    body = lines[1:]
+    if len(body) != n - 1:
+        raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")
+    return Trajectory(n, m, _parse_rows(body, n, m), label, seed)
+
+
+def _parse_header(line: str) -> tuple[int, int, int, str]:
+    """(n, m, seed, label) of a v1 header line."""
+    head = line.split()
     if len(head) != 6 or head[0] != _MAGIC or head[1] != _VERSION:
-        raise ValueError(f"bad trajectory header: {lines[0]!r}")
+        raise ValueError(f"bad trajectory header: {line!r}")
     fields = {}
     for token in head[2:]:
         key, _, value = token.partition("=")
@@ -383,24 +437,40 @@ def read_trajectory(path: str) -> Trajectory:
         seed = int(fields["seed"])
         label = fields["model"]
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad trajectory header: {lines[0]!r}") from exc
-    _check_edges(m)
-    body = lines[1:]
-    if len(body) != n - 1:
-        raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns on a body of blank lines (and numpy < 2 warns
-            # on a float such as 3.0 read as an integer): both are rejects.
-            warnings.simplefilter("error")
-            choices = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        return Trajectory(n, m, choices, label, seed)
-    except (ValueError, Warning):
-        pass
-    # Trajectory rejected the shape or range, or loadtxt the text: the row
-    # parse gives the error message, or accepts what int() reads and
-    # loadtxt does not, such as 1_0.
-    return Trajectory(n, m, _parse_rows(body, n, m), label, seed)
+        raise ValueError(f"bad trajectory header: {line!r}") from exc
+    return n, _check_edges(m), seed, label
+
+
+def _canonical_body(raw: bytes, n: int, m: int) -> np.ndarray | None:
+    """The targets of a body laid out as the writer lays it out, else None.
+
+    Canonical means ASCII digits only, tokens of 1-18 digits (no int64
+    overflow), one ' ' between the m targets of a row and one '\\n' after
+    each of the n-1 rows. Such a body splits into the lines and tokens the
+    row parse would see, so one np.fromstring reads it.
+    """
+    rows = n - 1
+    count = rows * m
+    if count <= 0:
+        return np.empty((0, m), dtype=np.int64) if rows == 0 and not raw else None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"  # splitlines reads a body without its last newline the same way
+    # Every target takes 1-18 digits and a separator. The size is checked
+    # before any array is made, so a huge n or m in the header costs nothing.
+    if not 2 * count <= len(raw) <= 19 * count:
+        return None
+    text = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(text < ord("0"))
+    if seps.size != count or np.any(text > ord("9")) or not 1 <= seps[0] <= 18:
+        return None
+    gaps = np.diff(seps)  # the digits of every token after the first, plus one
+    if gaps.size and not (gaps.min() >= 2 and gaps.max() <= 19):
+        return None
+    kinds = text[seps].reshape(rows, m)
+    if np.any(kinds[:, :-1] != ord(" ")) or np.any(kinds[:, -1] != ord("\n")):
+        return None
+    del seps, gaps  # before the parse allocates the targets
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(rows, m)
 
 
 def _parse_rows(body: list[str], n: int, m: int) -> np.ndarray:

@@ -275,14 +275,18 @@ def probe_tvs_block(
         i = np.repeat(np.arange(a, b + 1), np.minimum(e, p1) - np.maximum(e - span[a : b + 1], p0))
         j = np.arange(p0, p1) - offset[i]
         s = starts[j]
+        term = lam[j] * w[i]
         count = np.ones(p1 - p0)
-        # A crowded first hit counts its target's hits up to the window's end.
-        crowd = np.flatnonzero(crowded[i] < s)
+        # A crowded first hit counts its target's hits up to the window's end,
+        # two or more. Where term <= 2 every such count gives the term +0.0,
+        # so 2 stands in; the rest are counted.
+        crowd = crowded[i] < s
+        count[crowd] = 2.0
+        crowd = np.flatnonzero(crowd & (term > 2.0))
         ic = i[crowd]
         count[crowd] = np.searchsorted(key, bound[ic] + s[crowd] * m) - index[ic]
         # Unbuffered and in pair order, so each probe adds its terms in
         # candidate order whatever the batch size.
-        term = lam[j] * w[i]
         term -= count
         np.add.at(excess, j, np.maximum(term, 0.0, out=term))
         del i, j, s, count, crowd, ic, term  # before the next batch allocates its own

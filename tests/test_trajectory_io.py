@@ -4,8 +4,14 @@
 per-target writer that the vectorized `read_trajectory` and
 `write_trajectory` replaced. Written files must be byte-identical to the
 reference, and every file, well formed or not, must read back as the same
-trajectory or fail with the same `ValueError` message.
+trajectory or fail with the same `ValueError` message. The golden hashes
+were recorded from the `%`-format writer that the digit-plane writer
+replaced.
 """
+
+import hashlib
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,12 +136,107 @@ class TestRoundTrip:
         traj = sample_trajectory(affine_pref_attach(1.0, m=2), 300, seed=3)
         path = tmp_path / "t.traj"
         write_trajectory(traj, str(path))
+        written = path.read_bytes()
 
         def refuse(*args):
             raise AssertionError("row-by-row parse used on a well-formed file")
 
         monkeypatch.setattr(models, "_parse_rows", refuse)
-        np.testing.assert_array_equal(read_trajectory(str(path)).choices, traj.choices)
+        # Text mode reads CRLF line ends as "\n"; splitlines reads a body
+        # without its last newline as the same lines.
+        for data in (written, written.replace(b"\n", b"\r\n"), written[:-1]):
+            path.write_bytes(data)
+            np.testing.assert_array_equal(read_trajectory(str(path)).choices, traj.choices)
+
+    # top: the largest target, so every target 1..top and each power-of-ten
+    # boundary of the digit planes is written and read.
+    @pytest.mark.parametrize("top", [10**k + d for k in range(1, 7) for d in (-1, 0)])
+    def test_power_of_ten_boundaries(self, tmp_path, top):
+        n = top + 1
+        rows = np.arange(1, n)  # row i may hold 1..i+1
+        choices = np.column_stack([rows, 1 + (rows - 1) * 7919 % rows])
+        traj = Trajectory(n, 2, choices, "pa(m=2)", 0)
+        path = tmp_path / "t.traj"
+        write_trajectory(traj, str(path))
+        body = "".join(f"{a} {b}\n" for a, b in choices.tolist())
+        assert path.read_bytes() == f"dyngof-traj v1 n={n} m=2 model=pa(m=2) seed=0\n{body}".encode()
+        np.testing.assert_array_equal(read_trajectory(str(path)).choices, choices)
+
+    def test_targets_of_64_bits(self):
+        # No trajectory has a target of 2**32 or more, but the body writer
+        # keeps int64 arithmetic for one.
+        choices = np.array([[2**40, 1], [10**18, 9], [2**63 - 1, 10**9]])
+        assert models._ascii_body(choices) == "".join(f"{a} {b}\n" for a, b in choices.tolist())
+
+
+# (model label, n) -> SHA-256 of the file written for that model's trajectory
+# on seed 1 (n = 1: the empty trajectory).
+GOLDEN_FILES = {
+    ("pa(m=1)", 1): "ee3c6864b0ae00758a345c679f43a375ed6fe9feb8b7120116b3044c5e740d7a",
+    ("pa(m=1)", 2): "dfc1d9c6340a6e97c7ead053f405b20df3f8f380aa95bff9f8e84fbd00b9f097",
+    ("pa(m=1)", 3): "17e95f4c70f706476812c824d936e545a6f42bf7d07d341f17381d4b747082a6",
+    ("pa(m=1)", 1000): "fb0cbf87f0a2914036aa8ca6e972e5e111152d96923b5184168145c7f53eaa61",
+    ("pa(m=1)", 20000): "7302871f81c01dc8286a39377073656823dbfc006835e15659327655a498e750",
+    ("pa(m=3)", 1): "53bc133cde2163b50628185c1e8b714df88549165fe97edfc297e75476f10751",
+    ("pa(m=3)", 2): "a8b0e6f5b4ada1eb3b9dcd057e2aff6063c44f99f938812f4cb5a232d716fb26",
+    ("pa(m=3)", 3): "956c6b61d86d4f33ab491f581ba4403874382ef6a74b10926c84d3669919693b",
+    ("pa(m=3)", 1000): "089237f8602ab5c47c9eac44a2d99f9a98a717a0f823d2ea53feab2ad5ae28ff",
+    ("pa(m=3)", 20000): "4e011e9b591aa01870cf7db4919fb825bf47361c4d686607befe3bbdd07954e0",
+    ("uniform(m=2)", 1): "fce94e0cf86b15a7bd9f4d5b52ccf0a7b2d8aea46f0b3d42a75c7e2f2ae31660",
+    ("uniform(m=2)", 2): "e5d5cc110ef2f469a9929bef43507977d4253a3bde4f7bd1323a337134297f5b",
+    ("uniform(m=2)", 3): "2d8548f6d04273762076bacba9ed8ebfaee70abacd3f4f67f9160741cbf8c2a5",
+    ("uniform(m=2)", 1000): "2a664b78257b1a6fe2cce9150387b7b6ac68643262082bc5c6b42ff636b7f291",
+    ("uniform(m=2)", 20000): "ebf50a67226cbf5822951aa70a629576985297483d968cf837b629503f739609",
+    ("affine-pa(a=1,m=2)", 1): "62f3035ce047f6c912aac3848d12925e03db2f75ade04e83c82fd7c001b85193",
+    ("affine-pa(a=1,m=2)", 2): "a6c75f355d85436018d0d8059b1a317531d6dfa7960ab69b7a960b9abb6299da",
+    ("affine-pa(a=1,m=2)", 3): "1d9b3f56bb00a17e30554633b691d56e7e3373a9a006b4a51253dc1354193242",
+    ("affine-pa(a=1,m=2)", 1000): "6d7194447362e60921894879912e2fc8cf1025181027e688e5445d47178b8a9c",
+    ("affine-pa(a=1,m=2)", 20000): "0c746543a01da826227cc9b30b63b1cb741b69df52f344a60eb810cd1825d55a",
+    ("affine-pa(a=2.5,m=3)", 1): "96610bf83c708c97b5337f1c44ed570d3bd468743b45b34422c00b51f587db47",
+    ("affine-pa(a=2.5,m=3)", 2): "e836da98511c06b6dfea46c0ec31bd7fbd43e860ff9b85e07694957e629f06d9",
+    ("affine-pa(a=2.5,m=3)", 3): "3e74f43125ebc39f6f2363d45d5b8f9a07e892001f019ba3e9a8e9b250e8b35f",
+    ("affine-pa(a=2.5,m=3)", 1000): "92f9256ce4495370bd2f3cfd9bb9d7ad6883a93651346d3e2cb5d5991b1cd5e7",
+    ("affine-pa(a=2.5,m=3)", 20000): "d88e3ced36514af984085dd07af38424c3407a51e1c21d08e1ed8a2251c760ee",
+}
+GOLDEN_MODELS = {
+    model.label: model
+    for model in (
+        pref_attach(1), pref_attach(3), uniform_attach(2), affine_pref_attach(1.0, 2), affine_pref_attach(2.5, 3)
+    )
+}
+
+
+@pytest.mark.parametrize("label,n", sorted(GOLDEN_FILES))
+def test_written_bytes_match_golden_hash(tmp_path, label, n):
+    model = GOLDEN_MODELS[label]
+    if n == 1:
+        traj = Trajectory(1, model.m, np.empty((0, model.m)), label, 1)
+    else:
+        traj = sample_trajectory(model, n, 1)
+    path = tmp_path / "t.traj"
+    write_trajectory(traj, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FILES[label, n]
+
+
+def test_peak_memory_is_a_few_file_sizes(tmp_path):
+    # The reader holds the text, the body's bytes, the separator offsets and
+    # the targets; the writer the targets, the digit planes and the text.
+    # Both peak near six times the file here.
+    traj = sample_trajectory(pref_attach(1), 100000, seed=1)
+    path = str(tmp_path / "t.traj")
+    write_trajectory(traj, path)
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        read_trajectory(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 8 * size
+    assert read_peak <= 10 * size
 
 
 # A valid n = 12, m = 2 file; the label is non-ASCII, so some truncations
@@ -184,6 +285,29 @@ def malformed_corpus():
     corpus["nul-header"] = BASE.replace(b"seed=", b"seed=\x00")
     corpus["wrong-m"] = BASE.replace(b"m=2", b"m=3")
     corpus["huge-m"] = BASE.replace(b"m=2", b"m=1000000000000")
+    # Aimed at the reader's check that a body is in the writer's layout.
+    corpus["leading-space"] = with_rows([b" " + ROWS[0]] + ROWS[1:])
+    corpus["double-space"] = with_rows(ROWS[:4] + [ROWS[4].replace(b" ", b"  ")] + ROWS[5:])
+    corpus["row-of-m+1-beside-m-1"] = with_rows(ROWS[:6] + [ROWS[6] + b" 1", ROWS[7].split()[0]] + ROWS[8:])
+    corpus["lone-cr-inside-row"] = with_rows(ROWS[:3] + [ROWS[3].replace(b" ", b"\r")] + ROWS[4:])
+    corpus["lone-cr-row-end"] = BASE.replace(b"\n", b"\r", 3)
+    corpus["space-before-newline"] = with_rows(ROWS[:-1] + [ROWS[-1] + b" "])
+    corpus["space-at-end-no-newline"] = with_rows(ROWS)[:-1] + b" "
+    corpus["leading-newline"] = HEADER + b"\n\n" + b"\n".join(ROWS)
+    for digits in (18, 19, 20):
+        row = ROWS[-1].split()[0] + b" " + b"1".rjust(digits, b"0")
+        corpus[f"{digits}-digit-token"] = with_rows(ROWS[:-1] + [row])
+        corpus[f"{digits}-digit-value"] = with_rows(ROWS[:-1] + [b"1 1" + b"0" * (digits - 1)])
+    corpus["zero-target-last"] = with_rows(ROWS[:-1] + [ROWS[-1].split()[0] + b" 0"])
+    corpus["header-vt-before-newline"] = BASE.replace(b"\n", b"\x0b\n", 1)
+    corpus["header-vt-inside"] = BASE.replace(b" m=2", b"\x0bm=2", 1)
+    corpus["header-ff-then-rows"] = BASE.replace(b"\n", b"\x0c", 1)
+    corpus["n-1"] = b"dyngof-traj v1 n=1 m=2 model=x seed=0\n"
+    corpus["n-1-no-newline"] = b"dyngof-traj v1 n=1 m=2 model=x seed=0"
+    corpus["n-1-with-row"] = b"dyngof-traj v1 n=1 m=2 model=x seed=0\n1 1\n"
+    corpus["n-2-no-newline"] = b"dyngof-traj v1 n=2 m=1 model=x seed=0\n1"
+    corpus["huge-n-short-body"] = BASE.replace(b"n=12", b"n=1000000000000000")
+    corpus["huge-n-and-m"] = BASE.replace(b"n=12 m=2", b"n=1000000000000000 m=1000000000000")
     return corpus
 
 
