@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sampling
-from .models import ModelSpec, Trajectory, _integer, check_targets, sample_choices
+from .models import ModelSpec, Trajectory, _integer, check_targets, sample_choices, sorted_hits
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
-from .sampling import ProbePlan, hit_ranks, probe_tvs, probe_tvs_block, sample_probe_points
+from .sampling import ProbePlan, probe_tvs, probe_tvs_block, sample_probe_points
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,10 @@ def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
 def dn_summands(m0: ModelSpec, m1: ModelSpec, choices: np.ndarray) -> list[float]:
     """dn_summand of each trajectory of a (K, n-1, m) stack, in one pass, with its bits.
 
-    Replication k of K maps vertex v to the key v*K + k, so one sort
-    orders the block by target, replication and time, and vertex 1 holds
-    the keys below 2K. The bincount of gains sums each (replication,
-    row) bin in the order a lone sort gives, H runs its cumsum per row, and
-    each row keeps its own np.sum.
+    models.sorted_hits gives every hit's row and degree before it. The
+    bincount of gains over the K*n rows adds each (replication, row) bin in
+    target order, as a lone trajectory's sort does, H runs its cumsum per
+    replication, and each replication keeps its own np.sum.
     """
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
     if not m0.m == m1.m == m:
@@ -235,27 +234,13 @@ def dn_summands(m0: ModelSpec, m1: ModelSpec, choices: np.ndarray) -> list[float
     n1 = 2 * m * m1.beta + m1.shift
     A = m0.beta * n1 - m1.beta * n0
     B = m0.shift * n1 - m1.shift * n0
-    # Arrival n never conditions a state, so only arrivals 2..n-1 count.
-    rows = n - 2
-    keys = choices[:, :rows]
-    if reps > 1:
-        keys = keys * reps + np.arange(reps)[:, None, None]
-    # Element e of the flat stack sorts as (key << shift) | e: one sort of
-    # distinct integers puts the hits in target order and each target's
-    # hits in time order, the permutation a stable argsort gives.
-    shift = keys.size.bit_length()
-    key = keys.reshape(-1) << shift
-    key |= np.arange(key.size)
-    key.sort()
-    targets, order = key >> shift, key & ((1 << shift) - 1)
-    # A hit's degree just before it: base degree plus its rank among the
-    # hits on its target.
-    before = hit_ranks(targets) + np.where(targets < 2 * reps, 2 * m, m)
+    _, _, _, row, _, before = sorted_hits(choices)
     gain = np.abs(A * (before + 1) + B) - np.abs(A * before + B)
     H = np.empty((reps, n - 1))
     # g(2m) = |N0*N1 - N1*N0| = 0: at j = 1 both laws put all mass on vertex 1.
     H[:, 0] = 0.0
-    hits = np.bincount(order // m, weights=gain, minlength=reps * rows).reshape(reps, rows)
+    # Arrival n never conditions a state, so only arrivals 2..n-1 (rows 0..n-3) count.
+    hits = np.bincount(row, weights=gain, minlength=reps * n).reshape(reps, n)[:, : n - 2]
     np.add(hits, abs(A * m + B), out=H[:, 1:])
     np.cumsum(H, axis=1, out=H)
     H /= 2 * n0 * n1 * np.arange(1, n)  # each step's TV

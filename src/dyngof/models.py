@@ -329,6 +329,38 @@ def sample_choices(model: ModelSpec, n: int, seeds: list[int]) -> np.ndarray:
     return x
 
 
+def sorted_hits(choices: np.ndarray) -> tuple:
+    """Every hit of a (K, n-1, m) stack, ordered by replication, target and time.
+
+    Replication k's vertex v is k*n + v, its row k*n + row and its element
+    e = row*m + j is k*n*m + e; one sort of the distinct keys
+    (vertex << shift) | element gives a stable argsort's order. Returns
+    (key, shift, target, row, rank, degree). rank counts earlier hits on the
+    target; degree = rank + m, plus m on vertex 1, is the target's degree
+    before the arrival plus that arrival's earlier hits on it.
+    """
+    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    origin = np.arange(0, reps * n, n)[:, None]  # each replication's vertex and row 0
+    shift = (reps * n * m).bit_length()
+    key = np.left_shift(choices.reshape(reps, -1), shift, dtype=np.int64)
+    if reps > 1:
+        key += origin << shift
+    key |= np.arange(reps * n * m).reshape(reps, n * m)[:, : key.shape[1]]
+    key = key.ravel()
+    key.sort()
+    target, row = key >> shift, (key & ((1 << shift) - 1)) // m
+    # A hit's rank is its distance from the start of its target's run; one
+    # running maximum of the run starts gives every run's start.
+    index = np.arange(key.size)
+    run_start = np.empty(key.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(target[1:], target[:-1], out=run_start[1:])
+    rank = index - np.maximum.accumulate(np.where(run_start, index, 0))
+    degree = rank + m
+    degree[(target.reshape(reps, -1) == origin + 1).ravel()] += m  # vertex 1 starts at 2m
+    return key, shift, target, row, rank, degree
+
+
 def replay(traj: Trajectory, t: int) -> DegreeState:
     """DegreeState of the graph after arrival t, from one IncrementalReplay pass."""
     if not 1 <= t <= traj.n:
@@ -438,6 +470,8 @@ def _parse_header(line: str) -> tuple[int, int, int, str]:
         label = fields["model"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad trajectory header: {line!r}") from exc
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     return n, _check_edges(m), seed, label
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import ModelSpec, ProbVector, Trajectory, _integer
+from .models import ModelSpec, ProbVector, Trajectory, _integer, sorted_hits
 
 # Candidate (probe, vertex) pairs evaluated per batch in probe_tvs. It
 # bounds a batch's working memory at a few times this many words whatever
@@ -130,21 +130,6 @@ def tv_distance(emp: EmpiricalMeasure, model_probs: ProbVector) -> float:
     return min(max(0.5 * acc, 0.0), 1.0)
 
 
-def hit_ranks(targets: np.ndarray) -> np.ndarray:
-    """Number of earlier hits on each hit's target.
-
-    targets holds every hit's target, sorted and with each target's hits in
-    time order (a stable sort). A hit's rank is its distance from the start
-    of its target's run, and one running maximum of the run starts gives
-    every run's start in linear time.
-    """
-    index = np.arange(targets.size)
-    run_start = np.empty(targets.size, dtype=bool)
-    run_start[:1] = True
-    np.not_equal(targets[1:], targets[:-1], out=run_start[1:])
-    return index - np.maximum.accumulate(np.where(run_start, index, 0))
-
-
 def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.ndarray, np.ndarray]:
     """TV distance and kept count D_r of every probe of the plan.
 
@@ -173,11 +158,11 @@ def probe_tvs_block(
     models.sample_choices draws it, and gives the block's n and m; it is
     read as valid trajectories and not checked. The plans must share one
     width that fits n; a block that breaks this raises ValueError.
-    Replication k maps vertex v to k*n + v, row to k*n + row and element e
-    to k*n*m + e, so one sort orders the block by replication, target and
-    time, and each difference array covers the K*n starts of all
-    replications. The float cumsum of the hit weights, the suffix minimum
-    h and its searchsorted cut run per replication, so every probe gets the
+    models.sorted_hits orders the block's hits by replication, target and
+    time, with replication k's vertex v at k*n + v and its row at k*n + row,
+    so each difference array covers the K*n starts of all replications. The
+    float cumsum of the hit weights, the suffix minimum h and its
+    searchsorted cut run per replication, so every probe gets the
     bits probe_tvs gives it alone. Returns the TVs and kept counts of all
     plans' probes, plan after plan.
     """
@@ -196,16 +181,7 @@ def probe_tvs_block(
     total = (n - 1) * m  # choices per replication
     bounds = np.arange(reps + 1)
     origin = bounds[:-1] * n  # each replication's vertex and row 0
-    # Element e = row*m + j, ordered by target and then by time: key
-    # (v << shift) | e. Replication k adds k*n to v and k*n*m to e.
-    shift = (reps * n * m).bit_length()
-    key = choices.reshape(reps, total) + origin[:, None]
-    key <<= shift
-    key |= np.arange(reps * n * m).reshape(reps, n * m)[:, :total]
-    key = key.ravel()
-    key.sort()
-    target, row = key >> shift, (key & ((1 << shift) - 1)) // m
-    rank = hit_ranks(target)  # earlier hits on the target
+    key, shift, target, row, rank, degree = sorted_hits(choices)
     # prev is the row of the previous hit on the target, or its birth row
     # v - 2 (vertex 1's is -1). The window at row s = r - 2 keeps an element
     # when v - 1 <= s, and the element is its target's first kept hit exactly
@@ -233,12 +209,10 @@ def probe_tvs_block(
     kept = np.bincount(np.maximum(row - width + 1, target - 1), minlength=size)
     kept = np.cumsum(kept - np.bincount(row + 1, minlength=size))[starts]
     first = np.flatnonzero(prev < row)  # all but repeats of a target within one row
-    # A first kept hit sees deg_{r-1}(v): the base degree (2m on vertex 1)
-    # plus the hits before it.
-    one = (target.reshape(reps, total) == (origin + 1)[:, None]).ravel()
-    w = model.attachment_probability(rank + np.where(one, 2 * m, m), 1)[first]
+    # A first kept hit's degree before it is deg_{r-1}(v): every hit before it is in an earlier row.
+    w = model.attachment_probability(degree[first], 1)
     lo, end = np.maximum(prev, row - width)[first] + 1, row[first] + 1  # W_s ranges [lo, end)
-    del target, row, rank, prev  # only first hits count from here on
+    del target, row, rank, degree, prev  # only first hits count from here on
     hit_mass = np.bincount(lo, w, minlength=size) - np.bincount(end, w, minlength=size)
     hit_mass = np.cumsum(hit_mass.reshape(reps, n), axis=1).ravel()[starts]
 

@@ -95,6 +95,15 @@ class TestTestCommand:
         assert proc.stderr == f"error: m must be a positive integer, got {m}\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonpositive_n_header_is_error(self, tmp_path, n):
+        path = tmp_path / "n.traj"
+        path.write_text(f"dyngof-traj v1 n={n} m=1 model=pa(m=1) seed=0\n")
+        proc = run_cli("test", str(path), "--null-model", "pa", "--D", "1", "--seed", "3")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: n must be a positive integer, got {n}\n"
+        assert proc.stdout == ""
+
     def test_huge_m_header_is_error(self, tmp_path):
         path = tmp_path / "huge.traj"
         path.write_text(f"dyngof-traj v1 n=2 m={10**12} model=pa(m=1) seed=0\n1\n")

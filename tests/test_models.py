@@ -14,7 +14,9 @@ from dyngof.models import (
     pref_attach,
     read_trajectory,
     replay,
+    sample_choices,
     sample_trajectory,
+    sorted_hits,
     step_distribution,
     uniform_attach,
     write_trajectory,
@@ -134,11 +136,13 @@ class TestSampleTrajectory:
 
     def test_pa_two_step_probability(self):
         # P[arrivals 2 and 3 both pick vertex 1] = 1 * 3/4 under pa(m=1).
-        reps = 100_000
-        hits = sum(
-            sample_trajectory(pref_attach(), 3, seed=s).choices.tolist() == [[1], [1]]
-            for s in range(reps)
-        )
+        # Seeds 0..reps-1 in blocks of 1000: row k of a block is the choices
+        # of sample_trajectory on that block's k-th seed.
+        reps, block = 100_000, 1000
+        hits = 0
+        for s0 in range(0, reps, block):
+            stack = sample_choices(pref_attach(), 3, list(range(s0, s0 + block)))
+            hits += int(np.count_nonzero(np.all(stack == 1, axis=(1, 2))))
         p_hat = hits / reps
         sigma = (0.75 * 0.25 / reps) ** 0.5
         assert abs(p_hat - 0.75) <= 3 * sigma
@@ -255,6 +259,41 @@ class TestReplay:
                 assert state.t == t
                 assert state.degrees.tolist() == expected
                 assert int(state.degrees.sum()) == 2 * m * t
+
+
+class TestSortedHits:
+    @pytest.mark.parametrize("reps", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind, a", [("pa", 0.0), ("uniform", 0.0), ("affine-pa", 2.5)])
+    def test_fuzzed_stacks_match_replay(self, kind, a, m, reps):
+        model = ModelSpec(kind, m=m, a=a)
+        draw = np.random.default_rng([reps, m, len(kind)])
+        for n in (2, 3, int(draw.integers(4, 60))):
+            seeds = [int(s) for s in draw.integers(1 << 62, size=reps)]
+            choices = sample_choices(model, n, seeds)
+            key, shift, target, row, rank, degree = sorted_hits(choices)
+            total = (n - 1) * m
+            # The keys are ordered as a stable argsort by (replication, target, element).
+            flat = (choices.reshape(reps, total) + n * np.arange(reps)[:, None]).ravel()
+            order = np.argsort(flat, kind="stable")
+            k, e = np.divmod(key & ((1 << shift) - 1), n * m)
+            np.testing.assert_array_equal(k * total + e, order)
+            np.testing.assert_array_equal(target, flat[order])
+            np.testing.assert_array_equal(row, k * n + e // m)
+            # Each hit's degree is its target's replayed degree before the
+            # arrival plus that arrival's earlier hits on it.
+            want_degree = np.empty(reps * total, dtype=np.int64)
+            want_rank = np.empty_like(want_degree)
+            for r, seed in enumerate(seeds):
+                scan = IncrementalReplay(Trajectory(n, m, choices[r], model.label, seed))
+                hits = choices[r].ravel()
+                for i, v in enumerate(hits.tolist()):
+                    scan.advance(i // m + 1)
+                    earlier = hits[i - i % m : i]
+                    want_degree[r * total + i] = scan.state().degrees[v - 1] + np.count_nonzero(earlier == v)
+                    want_rank[r * total + i] = np.count_nonzero(hits[:i] == v)
+            np.testing.assert_array_equal(degree, want_degree[order])
+            np.testing.assert_array_equal(rank, want_rank[order])
 
 
 class TestPaExactness:

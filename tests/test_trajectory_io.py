@@ -56,6 +56,8 @@ def reference_read(path):
         label = fields["model"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad trajectory header: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     body = lines[1:]
@@ -306,6 +308,10 @@ def malformed_corpus():
     corpus["n-1-no-newline"] = b"dyngof-traj v1 n=1 m=2 model=x seed=0"
     corpus["n-1-with-row"] = b"dyngof-traj v1 n=1 m=2 model=x seed=0\n1 1\n"
     corpus["n-2-no-newline"] = b"dyngof-traj v1 n=2 m=1 model=x seed=0\n1"
+    corpus["n-0"] = b"dyngof-traj v1 n=0 m=2 model=x seed=0\n"
+    corpus["n-negative"] = b"dyngof-traj v1 n=-5 m=2 model=x seed=0\n"
+    corpus["n-0-with-rows"] = BASE.replace(b"n=12", b"n=0")
+    corpus["n-negative-and-m-0"] = BASE.replace(b"n=12 m=2", b"n=-5 m=0")
     corpus["huge-n-short-body"] = BASE.replace(b"n=12", b"n=1000000000000000")
     corpus["huge-n-and-m"] = BASE.replace(b"n=12 m=2", b"n=1000000000000000 m=1000000000000")
     return corpus
