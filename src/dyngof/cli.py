@@ -13,28 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 
 from . import harness, oracle
 from .gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, sampling_radius_estimate, test_dynamic_graph
-from .models import (
-    ModelSpec,
-    affine_pref_attach,
-    pref_attach,
-    read_trajectory,
-    replay,
-    sample_trajectory,
-    uniform_attach,
-    write_trajectory,
-)
+from .models import KIND_AFFINE, KINDS, ModelSpec, read_trajectory, replay, sample_trajectory, write_trajectory
 
-# Model name -> constructor from the --m and --a flags; only affine-pa reads --a.
-_MODEL_NAMES = {
-    "pa": lambda m, a: pref_attach(m),
-    "uniform": lambda m, a: uniform_attach(m),
-    "affine-pa": lambda m, a: affine_pref_attach(a, m),
-}
+_KINDS_HELP = " | ".join(KINDS)
 
 
 class CliError(Exception):
@@ -42,9 +29,10 @@ class CliError(Exception):
 
 
 def _model_from_flags(name: str, m: int, a: float) -> ModelSpec:
-    if name not in _MODEL_NAMES:
-        raise CliError(f"unknown model {name!r} (choose from {', '.join(_MODEL_NAMES)})")
-    return _MODEL_NAMES[name](m, a)
+    """The model the --m and --a flags give; only affine-pa reads --a."""
+    if name not in KINDS:
+        raise CliError(f"unknown model {name!r} (choose from {', '.join(KINDS)})")
+    return ModelSpec(name, m=m, a=a if name == KIND_AFFINE else 0.0)
 
 
 def _resolve_seed(args) -> int:
@@ -71,7 +59,7 @@ def _emit(doc: dict) -> None:
 
 
 def _add_model_flags(p):
-    p.add_argument("--model", default="pa", help="pa | uniform | affine-pa")
+    p.add_argument("--model", default="pa", help=_KINDS_HELP)
     p.add_argument("--m", type=int, default=1, help="edges per arriving vertex")
     p.add_argument("--a", type=float, default=1.0, help="degree shift for affine-pa")
 
@@ -88,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run the goodness-of-fit test on a trajectory file")
     p.add_argument("traj_path")
-    p.add_argument("--null-model", default="pa", help="pa | uniform | affine-pa")
+    p.add_argument("--null-model", default="pa", help=_KINDS_HELP)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--width-fraction", type=float, default=TestConfig.width_fraction)
@@ -105,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("distance", help="Monte Carlo estimate of the directed model distance")
-    p.add_argument("--m0", required=True, help="pa | uniform | affine-pa")
-    p.add_argument("--m1", required=True, help="pa | uniform | affine-pa")
+    p.add_argument("--m0", required=True, help=_KINDS_HELP)
+    p.add_argument("--m1", required=True, help=_KINDS_HELP)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)
@@ -116,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a batch experiment from flags and/or a config file")
     p.add_argument("--config", help="JSON file mirroring the experiment configuration")
     p.add_argument("--experiment", choices=harness.EXPERIMENTS)
-    p.add_argument("--m0", help="null model: pa | uniform | affine-pa")
-    p.add_argument("--m1", help="alternative model: pa | uniform | affine-pa")
+    p.add_argument("--m0", help=f"null model: {_KINDS_HELP}")
+    p.add_argument("--m1", help=f"alternative model: {_KINDS_HELP}")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--n-values", help="comma-separated trajectory lengths")
@@ -214,8 +202,6 @@ def _cmd_experiment(args) -> int:
     tc = base.get("test_config", {})
     if not isinstance(tc, dict):
         raise CliError(f"test_config must be a JSON object, got {type(tc).__name__}")
-    if "null_model" not in tc and "null_model" in base:
-        tc["null_model"] = base["null_model"]
     if args.D is not None:
         tc["D"] = args.D
     if args.width_fraction is not None:
@@ -238,6 +224,10 @@ def _cmd_experiment(args) -> int:
     if "n_values" not in base:
         raise CliError("no n values given (flag --n-values or config file)")
     cfg = harness.experiment_config_from_dict(base)
+    if args.config and cfg.output_path:
+        written = {os.path.realpath(p) for p in (cfg.output_path, harness.manifest_path(cfg.output_path))}
+        if os.path.realpath(args.config) in written:
+            raise CliError(f"the experiment would write over its config file {args.config}")
     result = harness.run_experiment(cfg)
     _emit({"csv": result.csv_path, "manifest": result.manifest_path, "rows": len(result.table.rows)})
     return 0

@@ -73,6 +73,12 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.alt_model is not None and self.alt_model.m != self.null_model.m:
             raise ValueError("null and alternative models disagree on edges per arrival")
+        if not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {type(self.output_path).__name__}")
+        if self.output_path and manifest_path(self.output_path) == self.output_path:
+            raise ValueError(
+                f"output_path {self.output_path!r} is its own manifest's path; give the CSV another extension"
+            )
         # The runs test against null_model, so the test config records it too.
         object.__setattr__(self, "test_config", replace(self.test_config, null_model=self.null_model))
 
@@ -391,13 +397,20 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    """Build the config from its dict form; a missing field or one of the wrong type raises ValueError."""
+    """Build the config from its dict form; a missing field or one of the wrong type raises ValueError.
+
+    ExperimentConfig tests against the top-level null model, so test_config
+    may leave its null_model out; only a missing or null alt_model means none.
+    """
+    tc = d.get("test_config")
+    if isinstance(tc, dict) and "null_model" in d:
+        d = {**d, "test_config": {"null_model": d["null_model"], **tc}}
     alt = d.get("alt_model")
     try:
         return ExperimentConfig(
             experiment=d["experiment"],
             null_model=_parse("null_model", model_from_dict, d["null_model"]),
-            alt_model=_parse("alt_model", model_from_dict, alt) if alt else None,
+            alt_model=_parse("alt_model", model_from_dict, alt) if alt is not None else None,
             n_values=tuple(d["n_values"]),
             replications=d["replications"],
             test_config=_parse("test_config", test_config_from_dict, d["test_config"]),
@@ -415,6 +428,11 @@ class ExperimentResult(NamedTuple):
     manifest_path: str
 
 
+def manifest_path(csv_path: str) -> str:
+    """The JSON manifest written beside the CSV at csv_path: its extension becomes .json."""
+    return os.path.splitext(csv_path)[0] + ".json"
+
+
 def _default_output_path(cfg: ExperimentConfig) -> str:
     alt = cfg.alt_model.label if cfg.alt_model is not None else "none"
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
@@ -430,13 +448,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     table = _RUNNERS[cfg.experiment](cfg)
     csv_path = cfg.output_path or _default_output_path(cfg)
     write_csv(csv_path, table)
-    manifest_path = os.path.splitext(csv_path)[0] + ".json"
+    json_path = manifest_path(csv_path)
     manifest = {
         "experiment_config": experiment_config_to_dict(cfg),
         "seed": cfg.test_config.seed,
         "csv": os.path.basename(csv_path),
     }
-    with open(manifest_path, "w") as fh:
+    with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return ExperimentResult(table=table, csv_path=csv_path, manifest_path=manifest_path)
+    return ExperimentResult(table=table, csv_path=csv_path, manifest_path=json_path)

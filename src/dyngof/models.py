@@ -38,6 +38,7 @@ KIND_AFFINE = "affine-pa"
 # (beta, base shift) of the affine rule per kind. The model's own a adds to
 # the shift; it is nonzero only for affine-pa.
 _AFFINE_RULE = {KIND_PA: (1, 0.0), KIND_UNIFORM: (0, 1.0), KIND_AFFINE: (1, 0.0)}
+KINDS = tuple(_AFFINE_RULE)
 
 # Sum-to-one tolerance for conditional attachment distributions.
 PROB_SUM_TOL = 1e-12
@@ -423,35 +424,30 @@ def read_trajectory(path: str) -> Trajectory:
 
     A body line holds m targets separated by whitespace (str.split); each
     target is a token that int() accepts and lies in {1, ..., t-1} for the
-    arrival t = line number + 1. A body in the writer's own layout is parsed
-    in one numpy pass (_canonical_body); any other, and any body Trajectory
-    rejects, goes to the row parse, which gives every error message.
+    arrival t = line number + 1. When "\n" alone ends the header, a body in
+    the writer's own layout is parsed in one numpy pass (_canonical_body);
+    every other file, and any body Trajectory rejects, takes one
+    splitlines() row parse, which gives every error message.
     """
     with open(path) as fh:
         text = fh.read()
-    end = text.find("\n")
-    head = text if end < 0 else text[:end]
-    lines = None
-    if head.splitlines() != [head]:
-        # The file is empty, or another line break (\x0b, \x85, ...) ends
-        # the header before the first "\n": split lines as the row parse does.
-        lines = text.splitlines()
-        if not lines:
-            raise ValueError("empty trajectory file")
-        head = lines[0]
-    n, m, seed, label = _parse_header(head)
-    if lines is None:
-        choices = _canonical_body(text[len(head) + 1 :].encode(), n, m)
+    head, _, body = text.partition("\n")
+    if head.splitlines() == [head]:  # that "\n" is the header's only line break
+        n, m, seed, label = _parse_header(head)
+        body = body.encode()  # frees the str copy before the parse
+        choices = _canonical_body(body, n, m)
         if choices is not None:
             try:
                 return Trajectory(n, m, choices, label, seed)
             except ValueError:
                 pass  # the row parse names the target at fault
-        lines = text.splitlines()
-    body = lines[1:]
-    if len(body) != n - 1:
-        raise ValueError(f"expected {n - 1} choice lines, found {len(body)}")
-    return Trajectory(n, m, _parse_rows(body, n, m), label, seed)
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty trajectory file")
+    n, m, seed, label = _parse_header(lines[0])
+    if len(lines) != n:
+        raise ValueError(f"expected {n - 1} choice lines, found {len(lines) - 1}")
+    return Trajectory(n, m, _parse_rows(lines[1:], n, m), label, seed)
 
 
 def _parse_header(line: str) -> tuple[int, int, int, str]:

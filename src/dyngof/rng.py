@@ -20,12 +20,18 @@ TAG_TAIL = 5
 TAG_EXPERIMENT = 6
 
 
+def _sequence(seed: int, key: tuple) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, key...). Every seed enters numpy here, so a negative one is named once."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, key...)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    return np.random.default_rng(_sequence(seed, key))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit child seed for (seed, key...), usable as a trajectory seed."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(seed, key).generate_state(1, dtype=np.uint64)[0])

@@ -5,18 +5,22 @@ use pinned seeds; tolerances are fixed here and nowhere else.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyngof
 from dyngof.gof import (
     FixedAlpha,
     SampledAlpha,
     TestConfig,
     dn_estimate,
+    probe_sum,
     test_dynamic_graph,
     test_statistic,
 )
@@ -34,12 +38,20 @@ from dyngof.models import (
     ProbVector,
     affine_pref_attach,
     pref_attach,
+    sample_choices,
     sample_trajectory,
     uniform_attach,
 )
 from dyngof.oracle import enumerate_trajectories, exact_expected_statistic
 from dyngof.rng import derive_seed
-from dyngof.sampling import ProbePlan, counting_function, sample_probe_points, tv_dense, tv_via_counting
+from dyngof.sampling import (
+    ProbePlan,
+    counting_function,
+    probe_tvs_block,
+    sample_probe_points,
+    tv_dense,
+    tv_via_counting,
+)
 
 PA = pref_attach()
 UNI = uniform_attach()
@@ -68,7 +80,7 @@ def test_criterion_1_exact_oracle_agreement():
             4: ([2, 3], 2),
             5: ([2, 3, 4], 2),
         }
-        reps = 10_000
+        reps, per_block = 10_000, 1000
         for n, (probes, width) in fixtures.items():
             listing = enumerate_trajectories(PA, n)
             assert sum(p for _, p in listing) == Fraction(1)
@@ -76,10 +88,15 @@ def test_criterion_1_exact_oracle_agreement():
 
             exact = exact_expected_statistic(PA, n, probes, width)
             plan = ProbePlan(points=np.array(probes), width=width)
+            # Replication i is trajectory seed derive_seed(808100 + n, i), drawn and scored in blocks.
             values = np.empty(reps)
-            for i in range(reps):
+            for b0 in range(0, reps, per_block):
+                seeds = [derive_seed(808100 + n, i) for i in range(b0, b0 + per_block)]
+                tvs = probe_tvs_block(sample_choices(PA, n, seeds), PA, [plan] * per_block)[0]
+                values[b0 : b0 + per_block] = probe_sum(tvs.reshape(per_block, len(probes)))
+            for i in (0, 1, per_block, reps - 1):
                 traj = sample_trajectory(PA, n, derive_seed(808100 + n, i))
-                values[i] = test_statistic(traj, PA, plan).S
+                assert values[i].hex() == test_statistic(traj, PA, plan).S.hex()
             se = values.std(ddof=1) / reps**0.5
             assert abs(values.mean() - float(exact)) <= 3 * se, (
                 f"n={n}: MC mean {values.mean():.5f} vs exact {float(exact):.5f} (se {se:.5f})"
@@ -157,8 +174,13 @@ def test_criterion_6_tail_exponent():
 
 
 def _run_cli(*args, cwd):
+    # From another directory a relative PYTHONPATH finds no dyngof: every
+    # command would exit 1 ("No module named dyngof") and match its rerun.
+    package_parent = str(Path(dyngof.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "dyngof", *args], capture_output=True, cwd=cwd
+        [sys.executable, "-m", "dyngof", *args], capture_output=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

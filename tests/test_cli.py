@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dyngof import cli
-from dyngof.models import pref_attach, sample_trajectory, write_trajectory
+from dyngof.models import KINDS, affine_pref_attach, pref_attach, sample_trajectory, uniform_attach, write_trajectory
 
 
 def run_cli(*args, cwd=None):
@@ -309,7 +309,8 @@ class TestExperimentCommand:
         ({"null_model": {"m": 1}}, "'kind'", "null_model"),
         ({"test_config": {"seed": 4, "alpha_mode": {}}}, "'mode'", "test_config.alpha_mode"),
         ({"test_config": {"seed": 4, "alpha_mode": {"mode": "fixed"}}}, "'radius'", "test_config.alpha_mode"),
-    ], ids=["null-model-kind", "alpha-mode", "alpha-radius"])
+        ({"alt_model": {}}, "'kind'", "alt_model"),
+    ], ids=["null-model-kind", "alpha-mode", "alpha-radius", "alt-model-empty"])
     def test_missing_config_field_is_named(self, tmp_path, config, key, where):
         config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
                   "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
@@ -329,7 +330,12 @@ class TestExperimentCommand:
          "test_config.null_model must be a JSON object, got int"),
         ({"test_config": {"seed": 4, "alpha_mode": "sampled"}},
          "test_config.alpha_mode must be a JSON object, got str"),
-    ], ids=["null-model", "alt-model", "test-config", "test-config-null-model", "alpha-mode"])
+        ({"alt_model": False}, "alt_model must be a JSON object, got bool"),
+        ({"alt_model": 0}, "alt_model must be a JSON object, got int"),
+        ({"alt_model": ""}, "alt_model must be a JSON object, got str"),
+        ({"alt_model": []}, "alt_model must be a JSON object, got list"),
+    ], ids=["null-model", "alt-model", "test-config", "test-config-null-model", "alpha-mode",
+            "alt-model-false", "alt-model-zero", "alt-model-empty-string", "alt-model-empty-list"])
     def test_config_field_that_is_not_an_object_is_named(self, tmp_path, config, message):
         config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
                   "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
@@ -352,6 +358,88 @@ class TestExperimentCommand:
     def test_missing_experiment_is_error(self):
         proc = run_cli("experiment", "--m0", "pa", "--n-values", "50", "--seed", "1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("config_name, out_flag, output_path", [
+        ("run.json", "run.csv", None),
+        ("run.json", "./run.csv", None),
+        ("run.csv", "run.csv", None),
+        ("run.json", None, "run.csv"),
+    ], ids=["manifest-over-config", "spelled-otherwise", "csv-over-config", "config-names-it"])
+    def test_output_over_the_config_file_is_rejected(
+        self, tmp_path, monkeypatch, capsys, config_name, out_flag, output_path
+    ):
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 3, "test_config": {"D": 1.0, "seed": 4}}
+        if output_path is not None:
+            config["output_path"] = output_path
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / config_name
+        cfg_path.write_text(json.dumps(config))
+        flags = ["--out", out_flag] if out_flag else []
+        for _ in range(2):  # the file is left as it was, so a rerun gives the same error
+            assert cli.main(["experiment", "--config", config_name, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: the experiment would write over its config file {config_name}\n"
+            assert captured.out == ""
+            assert json.loads(cfg_path.read_text()) == config
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config_name]
+
+    @pytest.mark.parametrize("value, kind", [(1, "int"), (True, "bool")])
+    def test_non_string_output_path_is_usage_error(self, tmp_path, value, kind):
+        # In a subprocess: the parent of this check opened the int as a file descriptor, fd 1.
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, "output_path": value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: output_path must be a string, got {kind}\n"
+        assert proc.stdout == ""
+
+    def test_negative_seed_in_config_is_named(self, tmp_path, capsys):
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 3, "test_config": {"seed": -3}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative integer, got -3\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "generate --model pa --n 50 --out {tmp}/x.traj",
+    "test {traj} --D 1",
+    "radius --model pa --n 50 --replications 2",
+    "distance --m0 pa --m1 uniform --n 50 --replications 2",
+    "experiment --experiment radius-scan --m0 pa --n-values 40 --replications 2 --out {tmp}/x.csv",
+], ids=["generate", "test", "radius", "distance", "experiment"])
+def test_negative_seed_flag_is_named(argv, tmp_path, capsys):
+    traj = tmp_path / "pa.traj"
+    write_trajectory(sample_trajectory(pref_attach(), 300, 11), str(traj))
+    assert cli.main([*argv.format(traj=traj, tmp=tmp_path).split(), "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pa.traj"]
+
+
+@pytest.mark.parametrize("name, model", [
+    ("pa", pref_attach(2)), ("uniform", uniform_attach(2)), ("affine-pa", affine_pref_attach(1.5, 2)),
+])
+def test_model_flags_give_the_constructors_model(name, model):
+    # --a reaches affine-pa only; --m reaches every kind.
+    got = cli._model_from_flags(name, 2, 1.5)
+    assert got == model and got.label == model.label
+    assert name in KINDS
+
+
+def test_unknown_model_lists_every_kind(capsys):
+    assert cli.main(["radius", "--model", "zork", "--n", "50", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: unknown model 'zork' (choose from {', '.join(KINDS)})\n"
+    assert KINDS == ("pa", "uniform", "affine-pa")
 
 
 # Each argv passes argparse and fails in the command; {traj} is a valid trajectory file.
@@ -394,6 +482,7 @@ BAD_ARGV = [
     "experiment --experiment radius-scan --m0 pa --n-values 40 --alpha sampled:abc --seed 1 --out {out}",
     "experiment --experiment radius-scan --m0 pa --n-values 40,30 --seed 1 --out {out}",
     "experiment --config {tmp}/missing.json --seed 1 --out {out}",
+    "experiment --experiment radius-scan --m0 pa --n-values 40 --replications 3 --seed 1 --out {tmp}/x.json",
 ]
 
 
@@ -406,7 +495,7 @@ def test_bad_argv_is_one_line_usage_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pa.traj"]
 
 
 class TestUsage:

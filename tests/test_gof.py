@@ -135,6 +135,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed: expected an integer"):
             TestConfig(null_model=PA, D=1.0, seed=seed)
 
+    def test_negative_seed_is_named_where_it_enters_numpy(self):
+        cfg = TestConfig(null_model=PA, D=1.0, alpha_mode=SampledAlpha(2), seed=-1)
+        message = "^seed must be a nonnegative integer, got -1$"
+        with pytest.raises(ValueError, match=message):
+            test_dynamic_graph(sample_trajectory(PA, 50, 1), cfg)
+        with pytest.raises(ValueError, match=message):
+            sampling_radius_estimate(50, cfg, 2, seed=-1)
+        with pytest.raises(ValueError, match=message):
+            dn_estimate(PA, UNI, 50, 2, seed=-1)
+        with pytest.raises(ValueError, match=message):
+            sample_trajectory(PA, 50, -1)
+        for draw in (stream, derive_seed):
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -7$"):
+                draw(-7, TAG_PROBES, 0)
+        assert derive_seed(0) >= 0 and stream(0).integers(2) in (0, 1)
+
     @pytest.mark.parametrize("replications", [2.7, "3"])
     def test_rejects_non_integral_alpha_replications(self, replications):
         with pytest.raises(ValueError, match="replications: expected an integer"):

@@ -20,6 +20,7 @@ from dyngof.harness import (
     calibrate_D,
     experiment_config_from_dict,
     experiment_config_to_dict,
+    manifest_path,
     read_csv,
     run_calibration_experiment,
     run_concentration_experiment,
@@ -128,6 +129,54 @@ class TestExperimentConfig:
     def test_fixed_alpha_round_trips(self):
         cfg = base_config(EXPERIMENT_CONCENTRATION, replications=12)
         assert experiment_config_from_dict(experiment_config_to_dict(cfg)) == cfg
+
+    def test_test_config_may_leave_out_the_null_model(self):
+        # The run tests against the top-level null model, so the file need not repeat it.
+        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        del d["test_config"]["null_model"]
+        assert experiment_config_from_dict(d) == base_config(EXPERIMENT_SUCCESS)
+        assert "null_model" not in d["test_config"]  # the caller's dict is left as it was
+
+    def test_test_config_null_model_is_still_checked(self):
+        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        d["test_config"]["null_model"] = 3
+        with pytest.raises(ValueError, match="^test_config.null_model must be a JSON object, got int$"):
+            experiment_config_from_dict(d)
+
+    @pytest.mark.parametrize("alt, message", [
+        ({}, "missing field 'kind' in alt_model"),
+        (False, "alt_model must be a JSON object, got bool"),
+        (0, "alt_model must be a JSON object, got int"),
+        ("", "alt_model must be a JSON object, got str"),
+        ([], "alt_model must be a JSON object, got list"),
+    ], ids=["empty-object", "false", "zero", "empty-string", "empty-list"])
+    def test_only_a_missing_or_null_alt_model_means_none(self, alt, message):
+        d = experiment_config_to_dict(base_config(EXPERIMENT_CONCENTRATION, replications=12))
+        d["alt_model"] = alt
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            experiment_config_from_dict(d)
+        d["alt_model"] = None
+        assert experiment_config_from_dict(d).alt_model is None
+        del d["alt_model"]
+        assert experiment_config_from_dict(d).alt_model is None
+
+    @pytest.mark.parametrize("path, kind", [(1, "int"), (True, "bool"), (None, "NoneType"), (b"x.csv", "bytes")])
+    def test_output_path_must_be_a_string(self, path, kind):
+        with pytest.raises(ValueError, match=f"^output_path must be a string, got {kind}$"):
+            ExperimentConfig(**{**base_config(EXPERIMENT_SUCCESS).__dict__, "output_path": path})
+
+    @pytest.mark.parametrize("path", ["x.json", "out/run.json"])
+    def test_output_path_that_is_its_own_manifest_is_rejected(self, path):
+        assert manifest_path(path) == path
+        with pytest.raises(ValueError, match="is its own manifest's path"):
+            ExperimentConfig(**{**base_config(EXPERIMENT_SUCCESS).__dict__, "output_path": path})
+
+    @pytest.mark.parametrize("path, manifest", [
+        ("x.csv", "x.json"), ("x", "x.json"), ("out/x.tsv", "out/x.json"), ("x.json.csv", "x.json.json"),
+        (".json", ".json.json"), ("x.JSON", "x.json"),
+    ])
+    def test_manifest_path(self, path, manifest):
+        assert manifest_path(path) == manifest
 
 
 class TestSuccessExperiment:
