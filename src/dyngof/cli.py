@@ -19,7 +19,7 @@ import sys
 
 from . import harness, oracle
 from .gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, sampling_radius_estimate, test_dynamic_graph
-from .models import KIND_AFFINE, KINDS, ModelSpec, read_trajectory, replay, sample_trajectory, write_trajectory
+from .models import KIND_AFFINE, KINDS, ModelSpec, final_degrees, read_trajectory, sample_trajectory, write_trajectory
 
 _KINDS_HELP = " | ".join(KINDS)
 
@@ -135,7 +135,7 @@ def _cmd_generate(args) -> int:
     seed = _resolve_seed(args)
     traj = sample_trajectory(model, args.n, seed)
     write_trajectory(traj, args.out)
-    max_degree = int(replay(traj, traj.n).degrees.max())
+    max_degree = int(final_degrees(traj.choices[None]).max())
     print(f"n={traj.n} m={traj.m} model={traj.model_label} seed={seed} max_degree={max_degree}")
     return 0
 
@@ -214,13 +214,11 @@ def _cmd_experiment(args) -> int:
         tc["seed"] = args.seed
     elif "seed" not in tc:
         tc["seed"] = _resolve_seed(args)
-    tc.setdefault("D", 1.0)
     base["test_config"] = tc
     if "experiment" not in base:
         raise CliError("no experiment selected (flag --experiment or config file)")
     if "null_model" not in base:
         raise CliError("no null model given (flag --m0 or config file)")
-    base.setdefault("replications", 32)
     if "n_values" not in base:
         raise CliError("no n values given (flag --n-values or config file)")
     cfg = harness.experiment_config_from_dict(base)

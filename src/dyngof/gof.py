@@ -147,36 +147,44 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     return StatisticResult(S=float(probe_sum(tvs)), per_probe_tv=list(tvs), kept=int(kept.sum()))
 
 
-def _per_block(n: int, m: int) -> int:
-    """Replications per block at horizon n: at least one, and their choices fit sampling.BATCH_ELEMENTS."""
-    return max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * m))
+def replication_blocks(model: ModelSpec, n: int, seeds: list[int]):
+    """Yield (block, choices): a range of seed indices and the stack one sample_choices call draws from them.
+
+    A block is at least one seed and as many as fit sampling.BATCH_ELEMENTS choices; one range check covers it.
+    """
+    per_block = max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * model.m))
+    for b0 in range(0, len(seeds), per_block):
+        choices = sample_choices(model, n, seeds[b0 : b0 + per_block])
+        check_targets(choices)
+        yield range(b0, b0 + len(choices)), choices
 
 
-def statistic_samples(
-    gen_model: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int
-) -> np.ndarray:
+def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, plan_rngs: list) -> np.ndarray:
+    """S against cfg.null_model of gen_model's trajectory from traj_seeds[i], on a plan from plan_rngs[i].
+
+    One probe_tvs_block pass scores each block of replication_blocks; each value has test_statistic's bits.
+    """
+    probes, width = cfg.probes_for(n), cfg.width_for(n)
+    if n < 2:  # the plan's rule names the window before sample_choices rejects n
+        sample_probe_points(n, probes, width, plan_rngs[0])
+    values = np.empty(len(traj_seeds))
+    for block, choices in replication_blocks(gen_model, n, traj_seeds):
+        plans = [sample_probe_points(n, probes, width, plan_rngs[i]) for i in block]
+        tvs = probe_tvs_block(choices, cfg.null_model, plans)[0]
+        values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
+    return values
+
+
+def statistic_samples(gen_model: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int) -> np.ndarray:
     """Statistic values against cfg.null_model on trajectories from gen_model.
 
     Each replication uses an independently derived trajectory seed and
     probe plan, so results are reproducible from (seed, index) alone.
-    Replications run in blocks of up to _per_block(n, m): one
-    models.sample_choices call draws a block's stacked trajectories, one
-    range check covers them, and one probe_tvs_block pass scores them.
-    Every value has the bits test_statistic gives that replication.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    probes, width = cfg.probes_for(n), cfg.width_for(n)
-    per_block = _per_block(n, cfg.null_model.m)
-    values = np.empty(replications)
-    for b0 in range(0, replications, per_block):
-        block = range(b0, min(b0 + per_block, replications))
-        plans = [sample_probe_points(n, probes, width, stream(seed, TAG_PROBES, i)) for i in block]
-        choices = sample_choices(gen_model, n, [derive_seed(seed, TAG_TRAJECTORY, i) for i in block])
-        check_targets(choices)
-        tvs = probe_tvs_block(choices, cfg.null_model, plans)[0]
-        values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
-    return values
+    traj_seeds = [derive_seed(seed, TAG_TRAJECTORY, i) for i in range(replications)]
+    return statistics(gen_model, n, cfg, traj_seeds, [stream(seed, TAG_PROBES, i) for i in range(replications)])
 
 
 def sampling_radius_estimate(n: int, cfg: TestConfig, replications: int, seed: int) -> RadiusEstimate:
@@ -254,26 +262,17 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
     Trajectories are drawn from m1 (the second argument supplies the
     conditioning states); at every step the two models' one-step
     conditional distributions given the realized state are compared in TV,
-    summed over steps, halved, and averaged over replications. Both laws
-    are affine in the degree and the total degree is exactly 2mj at state
-    time j, so the step-j TV is sum_v |A*deg(v) + B| / (2j) for constants
-    A, B fixed by the two models' (beta, a). dn_summand keeps that degree
-    sum up to date hit by hit: O(n*m*log(n*m)) per replication, not O(n^2).
-    Replications run in blocks of up to _per_block(n, m), as in
-    statistic_samples: one models.sample_choices call and one range check
-    per block, then one dn_summands pass; the summands are added in
-    replication order.
+    summed over steps, halved, and averaged over replications. One
+    dn_summands pass, O(n*m*log(n*m)) per replication, scores each block of
+    replication_blocks; the summands are added in replication order.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if m0.m != m1.m:
         raise ValueError("models disagree on edges per arrival")
-    per_block = _per_block(n, m1.m)
     total = 0.0
-    for b0 in range(0, replications, per_block):
-        block = range(b0, min(b0 + per_block, replications))
-        choices = sample_choices(m1, n, [derive_seed(seed, TAG_DISTANCE, i) for i in block])
-        check_targets(choices)
+    seeds = [derive_seed(seed, TAG_DISTANCE, i) for i in range(replications)]
+    for _, choices in replication_blocks(m1, n, seeds):
         for value in dn_summands(m0, m1, choices):
             total += value
     return total / replications

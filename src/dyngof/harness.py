@@ -22,13 +22,14 @@ from .gof import (
     SampledAlpha,
     TestConfig,
     dn_estimate,
+    replication_blocks,
     sampling_radius_estimate,
     statistic_samples,
-    test_dynamic_graph,
+    statistics,
     threshold_radius,
 )
-from .models import ModelSpec, _integer, replay, sample_trajectory
-from .rng import TAG_EXPERIMENT, TAG_TAIL, derive_seed
+from .models import ModelSpec, _integer, final_degrees
+from .rng import TAG_EXPERIMENT, TAG_PROBES, TAG_TAIL, derive_seed, stream
 
 EXPERIMENT_SUCCESS = "success-rate"
 EXPERIMENT_CONCENTRATION = "concentration"
@@ -115,33 +116,24 @@ def run_success_experiment(cfg: ExperimentConfig) -> Table:
     """Accuracy of the test on trajectories from both hypotheses.
 
     Per n, the threshold radius is estimated once from the null model and
-    shared by all tested trajectories, so their reports share the alpha
-    column; success combines the per-hypothesis accuracies with equal priors.
+    shared by all tested trajectories, which are rejected when S > alpha;
+    success combines the per-hypothesis accuracies with equal priors.
     """
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
     tc = cfg.test_config
-    seed = tc.seed
+    reps = range(cfg.replications)
     header = ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"]
     rows = []
     for k, n in enumerate(cfg.n_values):
-        radius = threshold_radius(tc, n, derive_seed(seed, TAG_EXPERIMENT, k, 0))
-        tcn = replace(tc, alpha_mode=FixedAlpha(radius.mean))
-        stats = {0: [], 1: []}
-        correct = {0: 0, 1: 0}
-        for hyp, model in ((0, cfg.null_model), (1, cfg.alt_model)):
-            for i in range(cfg.replications):
-                traj = sample_trajectory(model, n, derive_seed(seed, TAG_EXPERIMENT, k, 1 + hyp, i))
-                tci = replace(tcn, seed=derive_seed(seed, TAG_EXPERIMENT, k, 3 + hyp, i))
-                report = test_dynamic_graph(traj, tci)
-                stats[hyp].append(report.S)
-                correct[hyp] += int(report.decision == hyp)
-        acc0 = correct[0] / cfg.replications
-        acc1 = correct[1] / cfg.replications
-        rows.append(
-            [n, acc0, acc1, (acc0 + acc1) / 2,
-             float(np.mean(stats[0])), float(np.mean(stats[1])), report.alpha]
-        )
+        alpha = threshold_radius(tc, n, derive_seed(tc.seed, TAG_EXPERIMENT, k, 0)).mean + tc.D / 2
+        S = [
+            statistics(model, n, tc, [derive_seed(tc.seed, TAG_EXPERIMENT, k, 1 + hyp, i) for i in reps],
+                       [stream(derive_seed(tc.seed, TAG_EXPERIMENT, k, 3 + hyp, i), TAG_PROBES, 0) for i in reps])
+            for hyp, model in enumerate((cfg.null_model, cfg.alt_model))
+        ]
+        acc0, acc1 = (np.count_nonzero((S[hyp] > alpha) == hyp) / cfg.replications for hyp in (0, 1))
+        rows.append([n, acc0, acc1, (acc0 + acc1) / 2, float(np.mean(S[0])), float(np.mean(S[1])), alpha])
     return Table(header, rows)
 
 
@@ -175,13 +167,11 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
         raise ValueError("tail diagnostic needs n >= 1000")
     if replications < 1:
         raise ValueError("need at least one replication")
-    # Vertices of equal degree share one probability, so each replication's
-    # spectrum is its distinct probabilities weighted by their vertex counts.
+    # Equal degrees share one probability: a spectrum is its distinct probabilities weighted by vertex counts.
     spectra = []
-    for i in range(replications):
-        traj = sample_trajectory(model, n, derive_seed(seed, TAG_TAIL, i))
-        degrees, vertices = np.unique(replay(traj, n - 1).degrees, return_counts=True)
-        spectra.append((model.attachment_probability(degrees, n - 1), vertices))
+    for _, choices in replication_blocks(model, n, [derive_seed(seed, TAG_TAIL, i) for i in range(replications)]):
+        uniques = [np.unique(final, return_counts=True) for final in final_degrees(choices[:, :-1])]
+        spectra += [(model.attachment_probability(degrees, n - 1), vertices) for degrees, vertices in uniques]
     qmin = min(float(q.min()) for q, _ in spectra)
     qmax = max(float(q.max()) for q, _ in spectra)
     if qmin == qmax:
@@ -372,11 +362,11 @@ def _parse(where: str, parse, d: dict):
 
 
 def test_config_from_dict(d: dict) -> TestConfig:
-    """A missing optional field takes TestConfig's default."""
+    """A missing D is 1.0, and any other missing optional field takes TestConfig's default."""
     mode = _parse("test_config.alpha_mode", _alpha_mode_from_dict, d.get("alpha_mode", {"mode": "sampled"}))
     return TestConfig(
         null_model=_parse("test_config.null_model", model_from_dict, d["null_model"]),
-        D=float(d["D"]),
+        D=float(d.get("D", 1.0)),
         width_fraction=float(d.get("width_fraction", TestConfig.width_fraction)),
         probe_fraction=float(d.get("probe_fraction", TestConfig.probe_fraction)),
         alpha_mode=mode,
@@ -399,8 +389,8 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     """Build the config from its dict form; a missing field or one of the wrong type raises ValueError.
 
-    ExperimentConfig tests against the top-level null model, so test_config
-    may leave its null_model out; only a missing or null alt_model means none.
+    ExperimentConfig tests against the top-level null model, so test_config may leave
+    its null_model out; replications defaults to 32; a missing or null alt_model means none.
     """
     tc = d.get("test_config")
     if isinstance(tc, dict) and "null_model" in d:
@@ -412,7 +402,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
             null_model=_parse("null_model", model_from_dict, d["null_model"]),
             alt_model=_parse("alt_model", model_from_dict, alt) if alt is not None else None,
             n_values=tuple(d["n_values"]),
-            replications=d["replications"],
+            replications=d.get("replications", 32),
             test_config=_parse("test_config", test_config_from_dict, d["test_config"]),
             output_path=d.get("output_path", ""),
         )

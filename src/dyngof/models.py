@@ -362,13 +362,23 @@ def sorted_hits(choices: np.ndarray) -> tuple:
     return key, shift, target, row, rank, degree
 
 
+def final_degrees(choices: np.ndarray) -> np.ndarray:
+    """The (K, n) final degrees of a (K, n-1, m) stack: one bincount of the targets plus m, 2m on vertex 1."""
+    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    targets = choices.reshape(reps, -1)  # a lone trajectory's targets are not copied
+    if reps > 1:
+        targets = targets + n * np.arange(reps)[:, None]  # replication k's vertex v at k*n + v
+    degrees = np.bincount(targets.ravel(), minlength=reps * n + 1)[1:].reshape(reps, n)
+    degrees += m
+    degrees[:, 0] += m
+    return degrees
+
+
 def replay(traj: Trajectory, t: int) -> DegreeState:
-    """DegreeState of the graph after arrival t, from one IncrementalReplay pass."""
+    """DegreeState of the graph after arrival t: final_degrees of the first t-1 arrivals."""
     if not 1 <= t <= traj.n:
         raise ValueError(f"t must be in [1, {traj.n}]")
-    scan = IncrementalReplay(traj)
-    scan.advance(t)
-    return scan.state()
+    return DegreeState(t, final_degrees(traj.choices[None, : t - 1])[0])
 
 
 # --- trajectory file format (versioned, line oriented) ---

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyngof import cli
+from dyngof import cli, harness
 from dyngof.models import KINDS, affine_pref_attach, pref_attach, sample_trajectory, uniform_attach, write_trajectory
 
 
@@ -260,6 +260,25 @@ class TestExperimentCommand:
             assert recorded["null_model"]["kind"] == "pa"
             tables[kind] = out.read_bytes()
         assert tables["uniform"] == tables["pa"]
+
+    @pytest.mark.parametrize("left_out", [("D",), ("replications",), ("D", "replications")], ids=str)
+    def test_library_and_cli_fill_the_same_defaults(self, tmp_path, left_out):
+        config = {
+            "experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1}, "n_values": [40],
+            "replications": 3, "test_config": {"D": 7.0, "seed": 4}, "output_path": str(tmp_path / "x.csv"),
+        }
+        for field in left_out:
+            del (config["test_config"] if field == "D" else config)[field]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path))
+        assert proc.returncode == 0, proc.stderr
+        recorded = json.loads((tmp_path / "x.json").read_text())["experiment_config"]
+        library = harness.experiment_config_from_dict(config)
+        assert recorded == harness.experiment_config_to_dict(library)
+        assert (library.replications, library.test_config.D) == (
+            32 if "replications" in left_out else 3, 1.0 if "D" in left_out else 7.0
+        )
 
     def test_label_with_whitespace_is_usage_error(self, tmp_path):
         config = {

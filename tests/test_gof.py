@@ -370,3 +370,16 @@ def test_package_root_exports_only_the_pipeline():
     for name in ("DegreeState", "ProbVector", "step_distribution", "EmpiricalMeasure", "empirical_measure",
                  "tv_distance", "tv_dense", "counting_function", "tv_via_counting"):
         assert not hasattr(dyngof, name)
+
+
+# The single-probe reference layer; only the tests and the benchmark tracer use it.
+REFERENCE_NAMES = ("replay", "IncrementalReplay", "DegreeState", "step_distribution", "ProbVector",
+                   "EmpiricalMeasure", "empirical_measure", "tv_distance", "tv_dense")
+
+
+@pytest.mark.parametrize("module", ["gof", "harness", "cli"])
+def test_pipeline_modules_do_not_bind_the_reference_layer(module):
+    import importlib
+
+    bound = vars(importlib.import_module(f"dyngof.{module}"))
+    assert [name for name in REFERENCE_NAMES if name in bound] == []

@@ -11,6 +11,7 @@ from dyngof.models import (
     ProbVector,
     Trajectory,
     affine_pref_attach,
+    final_degrees,
     pref_attach,
     read_trajectory,
     replay,
@@ -38,6 +39,17 @@ def reference_degrees(traj, t):
             degrees[v - 1] += 1
         degrees.append(traj.m)
     return degrees
+
+
+def sampled_in_blocks(model, n, reps, block=1000):
+    """The flat choices of sample_trajectory(model, n, seed) for seeds 0..reps-1, as lists.
+
+    Drawn through sample_choices in blocks: row k of a block is the lone
+    trajectory of that block's k-th seed.
+    """
+    for s0 in range(0, reps, block):
+        stack = sample_choices(model, n, list(range(s0, min(s0 + block, reps))))
+        yield from stack.reshape(len(stack), -1).tolist()
 
 
 class TestStepDistribution:
@@ -173,9 +185,8 @@ class TestSampleTrajectory:
         index = {choices: k for k, (choices, _) in enumerate(exact)}
         reps = 20_000
         observed = np.zeros(len(exact))
-        for s in range(reps):
-            traj = sample_trajectory(model, 4, seed=s)
-            observed[index[tuple(int(v) for v in traj.choices.ravel())]] += 1
+        for choices in sampled_in_blocks(model, 4, reps):
+            observed[index[tuple(choices)]] += 1
         expected = np.array([float(p) * reps for _, p in exact])
         assert chisquare(observed, expected).pvalue > 0.01
 
@@ -194,8 +205,8 @@ class TestSampleTrajectory:
         index = {choices: k for k, (choices, _) in enumerate(exact)}
         reps = 20_000
         observed = np.zeros(len(exact))
-        for s in range(reps):
-            observed[index[tuple(sample_trajectory(model, 5, seed=s).choices[:, 0].tolist())]] += 1
+        for choices in sampled_in_blocks(model, 5, reps):
+            observed[index[tuple(choices)]] += 1
         expected = np.array([float(p) * reps for _, p in exact])
         assert chisquare(observed, expected).pvalue > 0.001
 
@@ -294,6 +305,26 @@ class TestSortedHits:
                     want_rank[r * total + i] = np.count_nonzero(hits[:i] == v)
             np.testing.assert_array_equal(degree, want_degree[order])
             np.testing.assert_array_equal(rank, want_rank[order])
+
+
+class TestFinalDegrees:
+    @pytest.mark.parametrize("reps", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind, a", [("pa", 0.0), ("uniform", 0.0), ("affine-pa", 2.5)])
+    def test_fuzzed_stacks_match_incremental_replay(self, kind, a, m, reps):
+        model = ModelSpec(kind, m=m, a=a)
+        draw = np.random.default_rng([reps, m, len(kind), 3])
+        for n in (2, 3, int(draw.integers(4, 60))):
+            seeds = [int(s) for s in draw.integers(1 << 62, size=reps)]
+            choices = sample_choices(model, n, seeds)
+            # Every prefix of arrivals is a stack too: the tail diagnostic takes all but the last.
+            for t in sorted({1, int(draw.integers(1, n + 1)), n - 1, n}):
+                got = final_degrees(choices[:, : t - 1])
+                assert got.shape == (reps, t) and got.dtype == np.int64
+                for r, seed in enumerate(seeds):
+                    scan = IncrementalReplay(Trajectory(n, m, choices[r], model.label, seed))
+                    scan.advance(t)
+                    np.testing.assert_array_equal(got[r], scan.state().degrees)
 
 
 class TestPaExactness:

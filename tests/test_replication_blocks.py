@@ -1,11 +1,13 @@
 """Replications drawn and scored as one stacked choices array per block.
 
-statistic_samples and dn_estimate draw each block of replications with one
-models.sample_choices call and score it in one stacked pass. The golden
+statistic_samples, dn_estimate and the success-rate experiment draw each
+block of replications with one models.sample_choices call (through
+gof.replication_blocks) and score it in one stacked pass. The golden
 values below were recorded before replications were stacked, when every
-replication was drawn by its own sample_trajectory call and dn was summed
-one trajectory at a time; they must not move. A changed value means a
-changed random stream or a changed float result.
+replication was drawn by its own sample_trajectory call, dn was summed one
+trajectory at a time and the success-rate experiment decided each
+trajectory with test_dynamic_graph; they must not move. A changed value
+means a changed random stream or a changed float result.
 """
 
 import hashlib
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 from dyngof import gof, sampling
-from dyngof.gof import TestConfig, dn_estimate, dn_summand, dn_summands, statistic_samples
+from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, dn_summand, dn_summands, statistic_samples
+from dyngof.harness import ExperimentConfig, run_success_experiment
 from dyngof.models import affine_pref_attach, pref_attach, sample_choices, sample_trajectory, uniform_attach
 
 SEEDS = (1, 2, 3, 7919)
@@ -128,6 +131,68 @@ GOLDEN_DN = {
     ("affine-pa(2.5,3)|pa(3)", 7919): "0x1.0f680b7ad0b57p+3",
 }
 
+# null/alt -> (null model, alternative model); each runs the success-rate
+# experiment with D = 12, n_values (40, 150) and 6 replications per hypothesis.
+SUCCESS_CASES = {
+    "pa/uniform": (pref_attach(1), uniform_attach(1)),
+    "pa(2)/affine-pa(2.5,2)": (pref_attach(2), affine_pref_attach(2.5, 2)),
+}
+SUCCESS_ALPHA = {"sampled": SampledAlpha(4), "fixed": FixedAlpha(6.0)}
+
+# (null/alt, alpha mode, seed) -> each run_success_experiment row, its floats
+# as float.hex(). Recorded when every replication was drawn by its own
+# sample_trajectory call and decided by test_dynamic_graph.
+GOLDEN_SUCCESS = {
+    ("pa/uniform", "sampled", 1): (
+        (40, "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+         "0x1.b0020b2d6277bp+3", "0x1.bf2a0415434fdp+3", "0x1.19d532e5e76d0p+4"),
+        (150, "0x1.0000000000000p+0", "0x1.aaaaaaaaaaaabp-1", "0x1.d555555555556p-1",
+         "0x1.7fe7951ec518fp+5", "0x1.c6c678ea1254bp+5", "0x1.b33fb1ace03c2p+5"),
+    ),
+    ("pa/uniform", "sampled", 7919): (
+        (40, "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+         "0x1.97a9044c8b740p+3", "0x1.de9dafe58ff45p+3", "0x1.1d53c2ca97fa9p+4"),
+        (150, "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.788310c8d450cp+5", "0x1.c9689559bf567p+5", "0x1.a0d0cb6131933p+5"),
+    ),
+    ("pa/uniform", "fixed", 1): (
+        (40, "0x1.5555555555555p-3", "0x1.0000000000000p+0", "0x1.2aaaaaaaaaaabp-1",
+         "0x1.b0020b2d6277bp+3", "0x1.bf2a0415434fdp+3", "0x1.8000000000000p+3"),
+        (150, "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.7fe7951ec518fp+5", "0x1.c6c678ea1254bp+5", "0x1.8000000000000p+3"),
+    ),
+    ("pa/uniform", "fixed", 7919): (
+        (40, "0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.8000000000000p-1",
+         "0x1.97a9044c8b740p+3", "0x1.de9dafe58ff45p+3", "0x1.8000000000000p+3"),
+        (150, "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.788310c8d450cp+5", "0x1.c9689559bf567p+5", "0x1.8000000000000p+3"),
+    ),
+    ("pa(2)/affine-pa(2.5,2)", "sampled", 1): (
+        (40, "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+         "0x1.55d3ef9f73141p+3", "0x1.47edd568cb009p+3", "0x1.07bb62452fe78p+4"),
+        (150, "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+         "0x1.3b5290cb27f15p+5", "0x1.5673a6c727fcbp+5", "0x1.72a03767d8af6p+5"),
+    ),
+    ("pa(2)/affine-pa(2.5,2)", "sampled", 7919): (
+        (40, "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+         "0x1.532f8214dae07p+3", "0x1.6ee27fe6ee5d3p+3", "0x1.fe6a9737d32adp+3"),
+        (150, "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+         "0x1.3d812adc04da5p+5", "0x1.60d303580eaedp+5", "0x1.6f6abebfcb04ep+5"),
+    ),
+    ("pa(2)/affine-pa(2.5,2)", "fixed", 1): (
+        (40, "0x1.aaaaaaaaaaaabp-1", "0x0.0p+0", "0x1.aaaaaaaaaaaabp-2",
+         "0x1.55d3ef9f73141p+3", "0x1.47edd568cb009p+3", "0x1.8000000000000p+3"),
+        (150, "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.3b5290cb27f15p+5", "0x1.5673a6c727fcbp+5", "0x1.8000000000000p+3"),
+    ),
+    ("pa(2)/affine-pa(2.5,2)", "fixed", 7919): (
+        (40, "0x1.0000000000000p+0", "0x1.5555555555555p-2", "0x1.5555555555555p-1",
+         "0x1.532f8214dae07p+3", "0x1.6ee27fe6ee5d3p+3", "0x1.8000000000000p+3"),
+        (150, "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.3d812adc04da5p+5", "0x1.60d303580eaedp+5", "0x1.8000000000000p+3"),
+    ),
+}
+
 # (model label, n) -> sha256 of the choices of sample_trajectory on SEEDS, in order.
 GOLDEN_CHOICES = {
     ("pa(m=1)", 2): "5e4ffd7d196e150659e625599778aa9c37538bb184fce71b42b1d5b339f2aeec",
@@ -162,6 +227,15 @@ def test_statistic_samples_bits_unchanged(case, seed):
 @pytest.mark.parametrize("case, seed", list(GOLDEN_DN), ids=lambda v: str(v))
 def test_dn_estimate_bits_unchanged(case, seed):
     assert dn_estimate(*DN_CASES[case], seed).hex() == GOLDEN_DN[case, seed]
+
+
+@pytest.mark.parametrize("case, mode, seed", list(GOLDEN_SUCCESS), ids=lambda v: str(v))
+def test_success_experiment_bits_unchanged(case, mode, seed):
+    null, alt = SUCCESS_CASES[case]
+    tc = TestConfig(null_model=null, D=12.0, alpha_mode=SUCCESS_ALPHA[mode], seed=seed)
+    rows = run_success_experiment(ExperimentConfig("success-rate", null, alt, (40, 150), 6, tc)).rows
+    got = tuple(tuple(v if isinstance(v, int) else float(v).hex() for v in row) for row in rows)
+    assert got == GOLDEN_SUCCESS[case, mode, seed]
 
 
 @pytest.mark.parametrize("label, n", list(GOLDEN_CHOICES), ids=lambda v: str(v))
