@@ -186,35 +186,28 @@ def _cmd_experiment(args) -> int:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise CliError(f"config file {args.config} must hold a JSON object")
-    # Flags override file values.
-    if args.experiment:
-        base["experiment"] = args.experiment
+    # Flags override file values; each flag of the loop below is named after its config key.
     if args.m0:
         base["null_model"] = harness.model_to_dict(_model_from_flags(args.m0, args.m, args.a))
     if args.m1:
         base["alt_model"] = harness.model_to_dict(_model_from_flags(args.m1, args.m, args.a))
     if args.n_values:
         base["n_values"] = [int(tok) for tok in args.n_values.split(",") if tok]
-    if args.replications is not None:
-        base["replications"] = args.replications
     if args.out:
         base["output_path"] = args.out
-    tc = base.get("test_config", {})
+    tc = base.setdefault("test_config", {})
     if not isinstance(tc, dict):
         raise CliError(f"test_config must be a JSON object, got {type(tc).__name__}")
-    if args.D is not None:
-        tc["D"] = args.D
-    if args.width_fraction is not None:
-        tc["width_fraction"] = args.width_fraction
-    if args.probe_fraction is not None:
-        tc["probe_fraction"] = args.probe_fraction
+    for config, key in ((base, "experiment"), (base, "replications"),
+                        (tc, "D"), (tc, "width_fraction"), (tc, "probe_fraction")):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     if args.alpha:
         tc["alpha_mode"] = harness.alpha_mode_to_dict(_alpha_mode(args.alpha))
     if args.seed is not None:
         tc["seed"] = args.seed
     elif "seed" not in tc:
         tc["seed"] = _resolve_seed(args)
-    base["test_config"] = tc
     if "experiment" not in base:
         raise CliError("no experiment selected (flag --experiment or config file)")
     if "null_model" not in base:
@@ -276,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError, KeyError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

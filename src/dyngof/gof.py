@@ -21,7 +21,7 @@ import numpy as np
 from . import sampling
 from .models import ModelSpec, Trajectory, _integer, check_targets, sample_choices, sorted_hits
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
-from .sampling import ProbePlan, probe_tvs, probe_tvs_block, sample_probe_points
+from .sampling import ProbePlan, probe_points, probe_tvs, probe_tvs_block, sample_probe_points
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,7 @@ def replication_blocks(model: ModelSpec, n: int, seeds: list[int]):
         choices = sample_choices(model, n, seeds[b0 : b0 + per_block])
         check_targets(choices)
         yield range(b0, b0 + len(choices)), choices
+        del choices  # as each consumer does, so no block is held while the next is drawn
 
 
 def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, plan_rngs: list) -> np.ndarray:
@@ -165,13 +166,13 @@ def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, 
     One probe_tvs_block pass scores each block of replication_blocks; each value has test_statistic's bits.
     """
     probes, width = cfg.probes_for(n), cfg.width_for(n)
-    if n < 2:  # the plan's rule names the window before sample_choices rejects n
-        sample_probe_points(n, probes, width, plan_rngs[0])
+    probe_points(n, probes, width, [])  # the horizon check names the window before sample_choices rejects n
     values = np.empty(len(traj_seeds))
     for block, choices in replication_blocks(gen_model, n, traj_seeds):
-        plans = [sample_probe_points(n, probes, width, plan_rngs[i]) for i in block]
-        tvs = probe_tvs_block(choices, cfg.null_model, plans)[0]
+        points = probe_points(n, probes, width, plan_rngs[block.start : block.stop])
+        tvs = probe_tvs_block(choices, cfg.null_model, points, width)[0]
         values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
+        del choices
     return values
 
 
@@ -275,6 +276,7 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
     for _, choices in replication_blocks(m1, n, seeds):
         for value in dn_summands(m0, m1, choices):
             total += value
+        del choices
     return total / replications
 
 

@@ -172,6 +172,7 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
     for _, choices in replication_blocks(model, n, [derive_seed(seed, TAG_TAIL, i) for i in range(replications)]):
         uniques = [np.unique(final, return_counts=True) for final in final_degrees(choices[:, :-1])]
         spectra += [(model.attachment_probability(degrees, n - 1), vertices) for degrees, vertices in uniques]
+        del choices
     qmin = min(float(q.min()) for q, _ in spectra)
     qmax = max(float(q.max()) for q, _ in spectra)
     if qmin == qmax:
@@ -351,25 +352,31 @@ def _alpha_mode_from_dict(d: dict) -> SampledAlpha | FixedAlpha:
     raise ValueError(f"unknown alpha mode {d['mode']!r} (use 'sampled' or 'fixed')")
 
 
-def _parse(where: str, parse, d: dict):
-    """parse(d); a d that is not a dict, or a key it lacks, raises a ValueError naming where."""
+def _parse(where: str, parse, d: dict, to_dict):
+    """parse(d); a non-dict d and a key missing, mistyped or not in to_dict(value) raise ValueError naming where."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
     try:
-        return parse(d)
+        value = parse(d)
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r} in {where}") from None
+    except TypeError as exc:
+        raise ValueError(f"bad {where}: {exc}") from exc
+    unknown = d.keys() - to_dict(value)
+    if unknown:
+        raise ValueError(f"unknown field {min(unknown)!r} in {where}")
+    return value
 
 
 def test_config_from_dict(d: dict) -> TestConfig:
     """A missing D is 1.0, and any other missing optional field takes TestConfig's default."""
-    mode = _parse("test_config.alpha_mode", _alpha_mode_from_dict, d.get("alpha_mode", {"mode": "sampled"}))
     return TestConfig(
-        null_model=_parse("test_config.null_model", model_from_dict, d["null_model"]),
+        null_model=_parse("test_config.null_model", model_from_dict, d["null_model"], model_to_dict),
         D=float(d.get("D", 1.0)),
         width_fraction=float(d.get("width_fraction", TestConfig.width_fraction)),
         probe_fraction=float(d.get("probe_fraction", TestConfig.probe_fraction)),
-        alpha_mode=mode,
+        alpha_mode=_parse("test_config.alpha_mode", _alpha_mode_from_dict,
+                          d.get("alpha_mode", {"mode": "sampled"}), alpha_mode_to_dict),
         seed=d.get("seed", TestConfig.seed),
     )
 
@@ -387,29 +394,28 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    """Build the config from its dict form; a missing field or one of the wrong type raises ValueError.
+    """Build the config from its dict form; a missing, unknown or wrongly typed field raises ValueError.
 
     ExperimentConfig tests against the top-level null model, so test_config may leave
     its null_model out; replications defaults to 32; a missing or null alt_model means none.
     """
+    return _parse("experiment config", _experiment_config, d, experiment_config_to_dict)
+
+
+def _experiment_config(d: dict) -> ExperimentConfig:
     tc = d.get("test_config")
     if isinstance(tc, dict) and "null_model" in d:
         d = {**d, "test_config": {"null_model": d["null_model"], **tc}}
     alt = d.get("alt_model")
-    try:
-        return ExperimentConfig(
-            experiment=d["experiment"],
-            null_model=_parse("null_model", model_from_dict, d["null_model"]),
-            alt_model=_parse("alt_model", model_from_dict, alt) if alt is not None else None,
-            n_values=tuple(d["n_values"]),
-            replications=d.get("replications", 32),
-            test_config=_parse("test_config", test_config_from_dict, d["test_config"]),
-            output_path=d.get("output_path", ""),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r} in the experiment config") from None
-    except TypeError as exc:
-        raise ValueError(f"bad experiment config: {exc}") from exc
+    return ExperimentConfig(
+        experiment=d["experiment"],
+        null_model=_parse("null_model", model_from_dict, d["null_model"], model_to_dict),
+        alt_model=_parse("alt_model", model_from_dict, alt, model_to_dict) if alt is not None else None,
+        n_values=tuple(d["n_values"]),
+        replications=d.get("replications", 32),
+        test_config=_parse("test_config", test_config_from_dict, d["test_config"], test_config_to_dict),
+        output_path=d.get("output_path", ""),
+    )
 
 
 class ExperimentResult(NamedTuple):

@@ -80,22 +80,24 @@ class ProbePlan:
     def count(self) -> int:
         return int(self.points.size)
 
-    def feasible_for(self, n: int) -> bool:
-        return bool(self.points[-1] + self.width <= n + 1)
 
+def probe_points(n: int, count: int, width: int, rngs: list) -> np.ndarray:
+    """Row k of the (len(rngs), count) result: rngs[k]'s uniform draws from {2, ..., n+1-width}, sorted.
 
-def sample_probe_points(n: int, count: int, width: int, rng: np.random.Generator) -> ProbePlan:
-    """Draw probe times uniformly with replacement from {2, ..., n+1-width}.
-
-    The range is clipped so every window [r, r+width) fits inside the
-    trajectory.
+    Draws are with replacement; the range keeps every window [r, r+width) inside the trajectory, and the
+    horizon and count are checked before any draw.
     """
     if n < width + 2:
         raise ValueError("infeasible config: window exceeds horizon")
     if count < 1:
         raise ValueError("need at least one probe point")
-    points = np.sort(rng.integers(2, n + 2 - width, size=count))
-    return ProbePlan(points=points, width=width)
+    draws = [rng.integers(2, n + 2 - width, size=count) for rng in rngs]
+    return np.sort(np.array(draws, dtype=np.int64).reshape(len(rngs), count), axis=1)
+
+
+def sample_probe_points(n: int, count: int, width: int, rng: np.random.Generator) -> ProbePlan:
+    """The plan of probe_points' one row drawn by rng."""
+    return ProbePlan(probe_points(n, count, width, [rng])[0], width)
 
 
 def empirical_measure(traj: Trajectory, t: int, width: int) -> EmpiricalMeasure:
@@ -146,38 +148,35 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
     feasible for traj raises ValueError. This is probe_tvs_block on a block
     of one.
     """
-    return probe_tvs_block(traj.choices[None], model, [plan])
+    return probe_tvs_block(traj.choices[None], model, plan.points[None], plan.width)
 
 
 def probe_tvs_block(
-    choices: np.ndarray, model: ModelSpec, plans: list[ProbePlan]
+    choices: np.ndarray, model: ModelSpec, points: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """probe_tvs of each (trajectory, plan) pair, in one pass over the block.
+    """probe_tvs of each trajectory with the plan (points[k], width), in one pass over the block.
 
     choices is the (K, n-1, m) stack of the K trajectories' choices, as
     models.sample_choices draws it, and gives the block's n and m; it is
-    read as valid trajectories and not checked. The plans must share one
-    width that fits n; a block that breaks this raises ValueError.
+    read as valid trajectories and not checked. Row k of the (K, M) points and
+    width must be a ProbePlan's whose windows fit n, or ValueError is raised.
     models.sorted_hits orders the block's hits by replication, target and
     time, with replication k's vertex v at k*n + v and its row at k*n + row,
     so each difference array covers the K*n starts of all replications. The
     float cumsum of the hit weights, the suffix minimum h and its
     searchsorted cut run per replication, so every probe gets the
     bits probe_tvs gives it alone. Returns the TVs and kept counts of all
-    plans' probes, plan after plan.
+    probes, row after row.
     """
     if choices.ndim != 3 or 0 in choices.shape:
         raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
-    if len(plans) != reps:
-        raise ValueError(f"block has {reps} trajectories but {len(plans)} plans")
-    width = plans[0].width
+    if len(points) != reps:
+        raise ValueError(f"block has {reps} trajectories but {len(points)} plans")
     if model.m != m:
         raise ValueError("null model and trajectory disagree on edges per arrival")
-    if any(plan.width != width for plan in plans):
-        raise ValueError("block plans disagree on window width")
-    if not all(plan.feasible_for(n) for plan in plans):
-        raise ValueError("infeasible plan: window runs past the trajectory")
+    if width < 1 or points[:, 0].min() < 2 or np.any(np.diff(points) < 0) or points[:, -1].max() + width > n + 1:
+        raise ValueError("infeasible plan: rows must be sorted times from 2 whose windows fit the trajectory")
     total = (n - 1) * m  # choices per replication
     bounds = np.arange(reps + 1)
     origin = bounds[:-1] * n  # each replication's vertex and row 0
@@ -192,10 +191,10 @@ def probe_tvs_block(
     prev = np.where(run_start, target - 2, np.concatenate(([0], row[:-1])))
     last = np.append(run_start[1:], True).reshape(reps, total)
     after = np.where(last, (origin + n)[:, None], np.append(row[1:], 0).reshape(reps, total)).ravel()
-    # Each plan is sorted, so the block's starts k*n + r - 2 are too; each
+    # Each row is sorted, so the block's starts k*n + r - 2 are too; each
     # distinct start is evaluated once.
-    alive = np.concatenate([plan.points for plan in plans]) - 1  # s + 1 = r - 1 vertices
-    starts = alive + np.repeat(origin - 1, [plan.count for plan in plans])
+    starts = (points + (origin - 2)[:, None]).ravel()
+    alive = points.ravel() - 1  # s + 1 = r - 1 vertices
     distinct = np.concatenate(([True], starts[1:] != starts[:-1]))
     inverse = distinct.cumsum() - 1
     starts, alive = starts[distinct], alive[distinct]

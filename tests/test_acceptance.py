@@ -92,7 +92,8 @@ def test_criterion_1_exact_oracle_agreement():
             values = np.empty(reps)
             for b0 in range(0, reps, per_block):
                 seeds = [derive_seed(808100 + n, i) for i in range(b0, b0 + per_block)]
-                tvs = probe_tvs_block(sample_choices(PA, n, seeds), PA, [plan] * per_block)[0]
+                points = np.broadcast_to(plan.points, (per_block, len(probes)))
+                tvs = probe_tvs_block(sample_choices(PA, n, seeds), PA, points, plan.width)[0]
                 values[b0 : b0 + per_block] = probe_sum(tvs.reshape(per_block, len(probes)))
             for i in (0, 1, per_block, reps - 1):
                 traj = sample_trajectory(PA, n, derive_seed(808100 + n, i))

@@ -37,6 +37,14 @@ class TestGenerate:
                        "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
 
+    def test_input_too_large_for_memory_is_usage_error(self, tmp_path):
+        # 10**15 arrivals need 8 PB of choices, past a 47-bit address space whatever the overcommit policy.
+        proc = run_cli("generate", "--model", "pa", "--n", str(10**15), "--seed", "1",
+                       "--out", str(tmp_path / "x.traj"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert proc.stdout == "" and not (tmp_path / "x.traj").exists()
+
     def test_bad_model_name(self, tmp_path):
         proc = run_cli("generate", "--model", "zork", "--n", "5", "--seed", "1",
                        "--out", str(tmp_path / "x"))
@@ -340,6 +348,33 @@ class TestExperimentCommand:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
         assert key in proc.stderr and f" {where}" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"replicatons": 5}, "unknown field 'replicatons' in experiment config"),
+        ({"null_model": {"kind": "pa", "mm": 2}}, "unknown field 'mm' in null_model"),
+        ({"alt_model": {"kind": "uniform", "mm": 2}}, "unknown field 'mm' in alt_model"),
+        ({"test_config": {"seed": 4, "Dee": 3.0}}, "unknown field 'Dee' in test_config"),
+        ({"test_config": {"seed": 4, "width_fracton": 0.2}}, "unknown field 'width_fracton' in test_config"),
+        ({"test_config": {"seed": 4, "null_model": {"kind": "pa", "mm": 2}}},
+         "unknown field 'mm' in test_config.null_model"),
+        ({"test_config": {"seed": 4, "alpha_mode": {"mode": "sampled", "reps": 8}}},
+         "unknown field 'reps' in test_config.alpha_mode"),
+        ({"test_config": {"seed": 4, "alpha_mode": {"mode": "fixed", "radius": 1.0, "replications": 8}}},
+         "unknown field 'replications' in test_config.alpha_mode"),
+        ({"test_config": {"seed": 4, "alpha_mode": {"mode": "sampled", "radius": 1.0}}},
+         "unknown field 'radius' in test_config.alpha_mode"),
+    ], ids=["top", "null-model", "alt-model", "test-config-D", "test-config-width", "test-config-null-model",
+            "sampled-alpha", "fixed-alpha", "sampled-alpha-radius"])
+    def test_misspelled_config_key_is_named(self, tmp_path, config, message):
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("config, message", [
         ({"null_model": "pa"}, "null_model must be a JSON object, got str"),

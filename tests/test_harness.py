@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ class TestExperimentConfig:
         d[field] = "pa"
         with pytest.raises(ValueError, match=f"^{field} must be a JSON object, got str$"):
             experiment_config_from_dict(d)
+
+    @pytest.mark.parametrize("alpha_mode", [SampledAlpha(8), FixedAlpha(5.0)], ids=str)
+    def test_every_written_key_reads_back_and_no_other(self, alpha_mode):
+        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS, alpha_mode=alpha_mode))
+        assert experiment_config_from_dict(json.loads(json.dumps(d))) == base_config(
+            EXPERIMENT_SUCCESS, alpha_mode=alpha_mode
+        )
+        objects = {"experiment config": d, "null_model": d["null_model"], "alt_model": d["alt_model"],
+                   "test_config": d["test_config"], "test_config.null_model": d["test_config"]["null_model"],
+                   "test_config.alpha_mode": d["test_config"]["alpha_mode"]}
+        for where, obj in objects.items():
+            obj["comment"] = "x"
+            with pytest.raises(ValueError, match=f"^unknown field 'comment' in {where}$"):
+                experiment_config_from_dict(d)
+            del obj["comment"]
 
     def test_fixed_alpha_round_trips(self):
         cfg = base_config(EXPERIMENT_CONCENTRATION, replications=12)
@@ -252,6 +268,19 @@ class TestTailDiagnostic:
         assert diag.counts.tobytes() == ref.counts.tobytes()
         assert np.float64(diag.fitted_gamma).tobytes() == np.float64(ref.fitted_gamma).tobytes()
         assert (diag.degenerate, diag.populated_tail_bins) == (ref.degenerate, ref.populated_tail_bins)
+
+    def test_a_block_is_not_held_while_the_next_is_drawn(self):
+        # Blocks hold one replication at this n, so a second one should not add a second stack to the peak.
+        tail_exponent_diagnostic(PA, 1000, 1, seed=1)  # first-call allocations out of the way
+        peaks = []
+        for replications in (1, 2):
+            tracemalloc.start()
+            try:
+                tail_exponent_diagnostic(PA, 200_000, replications, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], f"peaks {peaks[0] / 2**20:.2f} MB, {peaks[1] / 2**20:.2f} MB"
 
     def test_pa_small_scale_fit(self):
         diag = tail_exponent_diagnostic(PA, 4000, 3, seed=4)

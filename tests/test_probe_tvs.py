@@ -209,9 +209,11 @@ def test_block_matches_each_replication_alone(m, case):
     gen, null = models(m)[case % 4], models(m)[(case + 1) % 4]
     reps = int(draw.integers(1, 9))
     trajs = [sample_trajectory(gen, n, int(draw.integers(1 << 30))) for _ in range(reps)]
-    plans = [block_plans(n, width, int(draw.integers(1, 2 * n)), draw) for _ in range(reps)]
-    tvs, kept = sampling.probe_tvs_block(np.stack([t.choices for t in trajs]), null, plans)
-    at = np.cumsum([0] + [plan.count for plan in plans])
+    count = int(draw.integers(1, 2 * n))  # a block's plans share one probe count
+    plans = [block_plans(n, width, count, draw) for _ in range(reps)]
+    points = np.stack([plan.points for plan in plans])
+    tvs, kept = sampling.probe_tvs_block(np.stack([t.choices for t in trajs]), null, points, width)
+    at = np.arange(reps + 1) * points.shape[1]
     for k, (traj, plan) in enumerate(zip(trajs, plans)):
         alone_tvs, alone_kept = probe_tvs(traj, null, plan)
         np.testing.assert_array_equal(bits(tvs[at[k] : at[k + 1]]), bits(alone_tvs))
@@ -230,25 +232,31 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("widths", "window width"),
     ("n", "must be a nonempty stack"),
     ("m", "disagree on edges per arrival"),
     ("infeasible", "infeasible plan"),
+    ("unsorted", "infeasible plan"),
+    ("below-two", "infeasible plan"),
+    ("width-zero", "infeasible plan"),
     ("count", "2 trajectories but 1 plans"),
 ])
 def test_block_contract_is_checked(case, message):
     trajs = [sample_trajectory(pref_attach(), 200, seed) for seed in (1, 2)]
-    plans = [ProbePlan(points=np.array([50, 120]), width=20)] * 2
-    if case == "widths":
-        plans[1] = ProbePlan(points=np.array([50, 120]), width=40)
-    elif case == "m":
+    points, width = np.array([[50, 120], [50, 120]]), 20
+    if case == "m":
         trajs = [sample_trajectory(pref_attach(2), 200, seed) for seed in (1, 2)]
     elif case == "infeasible":
-        plans[1] = ProbePlan(points=np.array([50, 190]), width=20)
+        points[1] = [50, 190]
+    elif case == "unsorted":
+        points[1] = [120, 50]  # a ProbePlan rejects these three; raw points are checked by the kernel
+    elif case == "below-two":
+        points[1] = [1, 120]
+    elif case == "width-zero":
+        width = 0
     elif case == "count":
-        plans = plans[:1]
+        points = points[:1]
     choices = np.stack([t.choices for t in trajs])
     if case == "n":
         choices = choices[0]  # one trajectory's (n-1, m) array, not a stack
     with pytest.raises(ValueError, match=message):
-        sampling.probe_tvs_block(choices, pref_attach(), plans)
+        sampling.probe_tvs_block(choices, pref_attach(), points, width)

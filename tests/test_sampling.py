@@ -10,6 +10,8 @@ from dyngof.sampling import (
     ProbePlan,
     counting_function,
     empirical_measure,
+    probe_points,
+    probe_tvs,
     sample_probe_points,
     tv_dense,
     tv_distance,
@@ -66,6 +68,26 @@ class TestSampleProbePoints:
         assert counts.sum() == 100_000
         assert scipy.stats.chisquare(counts).pvalue > 0.01
 
+    @pytest.mark.parametrize("K", [1, 2, 9])
+    def test_rows_are_single_plans_bit_for_bit(self, K):
+        for n, count, width in [(12, 3, 10), (100, 5, 10), (300, 150, 29)]:
+            points = probe_points(n, count, width, [np.random.default_rng([K, n, k]) for k in range(K)])
+            assert points.shape == (K, count) and points.dtype == np.int64
+            for k in range(K):
+                plan = sample_probe_points(n, count, width, np.random.default_rng([K, n, k]))
+                assert points[k].tobytes() == plan.points.tobytes()
+
+    def test_checks_come_before_any_draw(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for args, message in [((11, 3, 10), "window exceeds horizon"), ((100, 0, 10), "at least one probe point")]:
+            with pytest.raises(ValueError, match=message):
+                probe_points(*args, [])
+            with pytest.raises(ValueError, match=message):
+                probe_points(*args, [rng])
+            assert rng.bit_generator.state == state
+        assert probe_points(100, 5, 10, []).shape == (0, 5)
+
 
 class TestProbePlan:
     def test_rejects_unsorted(self):
@@ -106,9 +128,11 @@ class TestProbePlan:
         assert type(plan.width) is int and plan.width == 3
 
     def test_feasibility(self):
+        # The last window [9, 11) ends at arrival 10: it fits n = 10 and not n = 9.
         plan = ProbePlan(points=np.array([2, 9]), width=2)
-        assert plan.feasible_for(10)
-        assert not plan.feasible_for(9)
+        probe_tvs(sample_trajectory(pref_attach(), 10, 1), pref_attach(), plan)
+        with pytest.raises(ValueError, match="infeasible plan"):
+            probe_tvs(sample_trajectory(pref_attach(), 9, 1), pref_attach(), plan)
 
 
 class TestEmpiricalMeasure:
