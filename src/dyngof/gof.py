@@ -150,13 +150,16 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
 def replication_blocks(model: ModelSpec, n: int, seeds: list[int]):
     """Yield (block, choices): a range of seed indices and the stack one sample_choices call draws from them.
 
-    A block is at least one seed and as many as fit sampling.BATCH_ELEMENTS choices; one range check covers it.
+    The R seeds split into the number of blocks nearest R*(n-1)*m / sampling.BATCH_ELEMENTS, at least one and at
+    most R, as contiguous ranges whose sizes differ by at most one; one range check covers a block.
     """
-    per_block = max(1, sampling.BATCH_ELEMENTS // (max(n - 1, 1) * model.m))
-    for b0 in range(0, len(seeds), per_block):
-        choices = sample_choices(model, n, seeds[b0 : b0 + per_block])
+    reps = len(seeds)
+    count = min(reps, max(1, round(reps * (n - 1) * model.m / sampling.BATCH_ELEMENTS)))
+    for b in range(count):
+        block = range(b * reps // count, (b + 1) * reps // count)
+        choices = sample_choices(model, n, seeds[block.start : block.stop])
         check_targets(choices)
-        yield range(b0, b0 + len(choices)), choices
+        yield block, choices
         del choices  # as each consumer does, so no block is held while the next is drawn
 
 

@@ -324,6 +324,11 @@ def model_to_dict(model: ModelSpec) -> dict:
 
 
 def model_from_dict(d: dict) -> ModelSpec:
+    """A missing m is 1 and a missing a 0.0; a missing, unknown or wrongly typed field raises ValueError."""
+    return _parse("model", _model, d, model_to_dict)
+
+
+def _model(d: dict) -> ModelSpec:
     return ModelSpec(kind=d["kind"], m=d.get("m", 1), a=d.get("a", 0.0), label=d.get("label", ""))
 
 
@@ -369,9 +374,16 @@ def _parse(where: str, parse, d: dict, to_dict):
 
 
 def test_config_from_dict(d: dict) -> TestConfig:
-    """A missing D is 1.0, and any other missing optional field takes TestConfig's default."""
+    """A missing D is 1.0, and any other missing optional field takes TestConfig's default.
+
+    A missing, unknown or wrongly typed field raises ValueError.
+    """
+    return _parse("test_config", _test_config, d, test_config_to_dict)
+
+
+def _test_config(d: dict) -> TestConfig:
     return TestConfig(
-        null_model=_parse("test_config.null_model", model_from_dict, d["null_model"], model_to_dict),
+        null_model=_parse("test_config.null_model", _model, d["null_model"], model_to_dict),
         D=float(d.get("D", 1.0)),
         width_fraction=float(d.get("width_fraction", TestConfig.width_fraction)),
         probe_fraction=float(d.get("probe_fraction", TestConfig.probe_fraction)),
@@ -409,11 +421,11 @@ def _experiment_config(d: dict) -> ExperimentConfig:
     alt = d.get("alt_model")
     return ExperimentConfig(
         experiment=d["experiment"],
-        null_model=_parse("null_model", model_from_dict, d["null_model"], model_to_dict),
-        alt_model=_parse("alt_model", model_from_dict, alt, model_to_dict) if alt is not None else None,
+        null_model=_parse("null_model", _model, d["null_model"], model_to_dict),
+        alt_model=_parse("alt_model", _model, alt, model_to_dict) if alt is not None else None,
         n_values=tuple(d["n_values"]),
         replications=d.get("replications", 32),
-        test_config=_parse("test_config", test_config_from_dict, d["test_config"], test_config_to_dict),
+        test_config=test_config_from_dict(d["test_config"]),
         output_path=d.get("output_path", ""),
     )
 

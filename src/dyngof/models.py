@@ -297,26 +297,36 @@ def sample_choices(model: ModelSpec, n: int, seeds: list[int]) -> np.ndarray:
     # Slot s = 2m*r + c holds vertex r + 1 if r == 0 or c >= m; otherwise it
     # holds the target of the earlier choice k = (r-1)*m + c, which x keeps
     # as the pointer -(k + 1) = (m - 1 - c) - m*r < 0 until it is resolved.
-    # In place, so r is the only extra array of x's size: x becomes c, then
-    # 1 or m - 1 - c, then adds r or -m*r.
-    r = np.empty_like(x)
-    np.divmod(x, two_m, out=(r, x))
+    # Unmasked integer steps in place, so r is the only extra array of x's
+    # size: x becomes c, then pointer - vertex = (m - 2 - c) - (m + 1)*r,
+    # then that times pointer (0 where the slot holds a vertex), plus the
+    # vertex r + 1.
+    r = x // two_m
+    r *= two_m
+    x -= r
     pointer = (x < m) & (r > 0)
-    np.subtract(m - 1, x, out=x)
-    np.copyto(x, 1, where=~pointer)
+    np.subtract(m - 2, x, out=x)
+    r >>= 1  # m*r
+    x -= r
+    r //= m
+    x -= r
     if reps > 1:
         # A pointer of replication k also skips the k*(n-1)*m choices of the
         # replications before it in the flat stack.
-        np.add(r, (n - 1) * np.arange(reps)[:, None, None], out=r, where=pointer)
-    np.multiply(r, -m, out=r, where=pointer)
+        x -= (n - 1) * m * np.arange(reps)[:, None, None]
+    x *= pointer
+    r += 1
     x += r
     del r, pointer
     if model.shift:
         # Block order: all slots, then all uniform picks, then all coins;
-        # a choice whose coin is not below w takes its uniform pick.
+        # a choice whose coin is not below w takes its uniform pick, as
+        # x + (picks - x) * (coin >= w).
         picks = _stacked(rngs, integers, 1, np.broadcast_to(rows + 1, shape))
         w = two_m * model.beta / (two_m * model.beta + model.shift)
-        np.copyto(x, picks, where=_stacked(rngs, np.random.Generator.random, shape) >= w)
+        picks -= x
+        picks *= _stacked(rngs, np.random.Generator.random, shape) >= w
+        x += picks
         del picks
     # Pointer jumping: each pass replaces a pointer by what it points at, a
     # vertex or that choice's own pointer, so a chain of length L resolves

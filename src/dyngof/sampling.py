@@ -60,11 +60,7 @@ class ProbePlan:
     width: int
 
     def __post_init__(self):
-        # models._integer's rule, by dtype: float, string or bool points raise rather than truncate.
-        points = np.asarray(self.points)
-        if points.size and points.dtype.kind not in "iu":
-            raise ValueError(f"points: expected integers, got {points.dtype} values")
-        points = np.asarray(points, dtype=np.int64)
+        points = _integer_points(self.points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "width", _integer("width", self.width))
         if points.ndim != 1 or points.size < 1:
@@ -79,6 +75,14 @@ class ProbePlan:
     @property
     def count(self) -> int:
         return int(self.points.size)
+
+
+def _integer_points(points) -> np.ndarray:
+    """points as int64; models._integer's rule, by dtype: float, string or bool points raise rather than truncate."""
+    points = np.asarray(points)
+    if points.size and points.dtype.kind not in "iu":
+        raise ValueError(f"points: expected integers, got {points.dtype} values")
+    return np.asarray(points, dtype=np.int64)
 
 
 def probe_points(n: int, count: int, width: int, rngs: list) -> np.ndarray:
@@ -175,6 +179,7 @@ def probe_tvs_block(
         raise ValueError(f"block has {reps} trajectories but {len(points)} plans")
     if model.m != m:
         raise ValueError("null model and trajectory disagree on edges per arrival")
+    points = _integer_points(points)
     if width < 1 or points[:, 0].min() < 2 or np.any(np.diff(points) < 0) or points[:, -1].max() + width > n + 1:
         raise ValueError("infeasible plan: rows must be sorted times from 2 whose windows fit the trajectory")
     total = (n - 1) * m  # choices per replication

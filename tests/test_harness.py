@@ -22,6 +22,8 @@ from dyngof.harness import (
     experiment_config_from_dict,
     experiment_config_to_dict,
     manifest_path,
+    model_from_dict,
+    model_to_dict,
     read_csv,
     run_calibration_experiment,
     run_concentration_experiment,
@@ -33,6 +35,7 @@ from dyngof.harness import (
     write_csv,
 )
 from dyngof.harness import test_config_from_dict as config_from_dict  # renamed: not a test case
+from dyngof.harness import test_config_to_dict as config_to_dict
 from dyngof.models import affine_pref_attach, pref_attach, replay, sample_trajectory, step_distribution, uniform_attach
 from dyngof.rng import TAG_TAIL, derive_seed
 
@@ -141,6 +144,25 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=f"^unknown field 'comment' in {where}$"):
                 experiment_config_from_dict(d)
             del obj["comment"]
+
+    @pytest.mark.parametrize("alpha_mode", [SampledAlpha(8), FixedAlpha(5.0)], ids=str)
+    def test_parsers_called_alone_reject_unknown_keys(self, alpha_mode):
+        tc = config_to_dict(base_config(EXPERIMENT_SUCCESS, alpha_mode=alpha_mode).test_config)
+        assert config_from_dict(json.loads(json.dumps(tc))) == base_config(
+            EXPERIMENT_SUCCESS, alpha_mode=alpha_mode).test_config
+        assert model_from_dict(model_to_dict(PA)) == PA
+        for where, obj in {"test_config": tc, "test_config.null_model": tc["null_model"],
+                           "test_config.alpha_mode": tc["alpha_mode"]}.items():
+            obj["comment"] = "x"
+            with pytest.raises(ValueError, match=f"^unknown field 'comment' in {where}$"):
+                config_from_dict(tc)
+            del obj["comment"]
+        with pytest.raises(ValueError, match="^unknown field 'comment' in test_config$"):
+            config_from_dict({"null_model": {"kind": "pa"}, "comment": "x"})
+        with pytest.raises(ValueError, match="^unknown field 'mm' in model$"):
+            model_from_dict({"kind": "pa", "mm": 3})
+        with pytest.raises(ValueError, match="^missing field 'kind' in model$"):
+            model_from_dict({"m": 3})
 
     def test_fixed_alpha_round_trips(self):
         cfg = base_config(EXPERIMENT_CONCENTRATION, replications=12)

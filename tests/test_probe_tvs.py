@@ -239,6 +239,7 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
     ("below-two", "infeasible plan"),
     ("width-zero", "infeasible plan"),
     ("count", "2 trajectories but 1 plans"),
+    ("float", "^points: expected integers, got float64 values$"),  # ProbePlan's message
 ])
 def test_block_contract_is_checked(case, message):
     trajs = [sample_trajectory(pref_attach(), 200, seed) for seed in (1, 2)]
@@ -255,8 +256,11 @@ def test_block_contract_is_checked(case, message):
         width = 0
     elif case == "count":
         points = points[:1]
+    elif case == "float":
+        points = points + 0.5
     choices = np.stack([t.choices for t in trajs])
     if case == "n":
         choices = choices[0]  # one trajectory's (n-1, m) array, not a stack
     with pytest.raises(ValueError, match=message):
         sampling.probe_tvs_block(choices, pref_attach(), points, width)
+

@@ -210,7 +210,13 @@ GOLDEN_CHOICES = {
     ("affine-pa(a=2.5,m=3)", 2): "99bb8dface617aff037e050e6c51d0f8c4adb7bad06498d69e24f9d58c2adfc5",
     ("affine-pa(a=2.5,m=3)", 3): "fc909c39c962292d7917e9029a41bf8560ec12ee4375f078c93ae39e37c3ff80",
     ("affine-pa(a=2.5,m=3)", 1000): "5cdacea7d894a064c10ca05dadb885e76a28012d256d6ab5ddd051a061018338",
+    # Long pointer chains; recorded when the urn was decoded with np.divmod and masked writes.
+    ("pa(m=1)", 200_000): "9f42bf6e8ee0f523eb8ec270fd20ec6baf35207fb3c5c00478e381b62adb91da",
+    ("affine-pa(a=1,m=2)", 200_000): "01ad4a6ff991283c2087185ff0ecb6b51a8d4203e368fd8d05b145cb03ebe543",
 }
+# sha256 of the K = 3 stack sample_choices(affine-pa(a=2.5, m=3), 50 000, GOLDEN_STACK_SEEDS), recorded with the above.
+GOLDEN_STACK_SEEDS = (1, 2, 7919)
+GOLDEN_STACK = "a631e0dcb274ff77adab849520d1359c58fab6329f2c219a9edb533e58a90129"
 
 
 def bits(values):
@@ -244,6 +250,12 @@ def test_sample_trajectory_choices_unchanged(label, n):
     for seed in SEEDS:
         h.update(sample_trajectory(CHOICE_MODELS[label], n, seed).choices.tobytes())
     assert h.hexdigest() == GOLDEN_CHOICES[label, n]
+
+
+def test_stack_choices_unchanged():
+    stack = sample_choices(affine_pref_attach(2.5, 3), 50_000, list(GOLDEN_STACK_SEEDS))
+    assert stack.shape == (3, 49_999, 3)
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == GOLDEN_STACK
 
 
 def kinds(m):
@@ -309,3 +321,46 @@ def test_lone_trajectory_is_sampled_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * traj.choices.nbytes
+
+
+def test_urn_decode_adds_no_array_of_the_choices_size():
+    # x, r and a few bool masks: 3.50x the choices here. One more int64 array of the choices' size reads >= 4.1x.
+    sample_choices(pref_attach(1), 100, [1])
+    tracemalloc.start()
+    try:
+        choices = sample_choices(pref_attach(1), 200_000, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.75 * choices.nbytes
+
+
+def expected_block_count(reps, n, m):
+    return min(reps, max(1, round(reps * (n - 1) * m / sampling.BATCH_ELEMENTS)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("reps", [1, 2, 3, 7, 10, 12, 32])
+def test_block_split_rule(reps, m):
+    seeds = list(range(100, 100 + reps))
+    for n in (2, 3, 300, 500, 700, 1000, 1366, 2049, 4097, 6000):
+        blocks = list(gof.replication_blocks(pref_attach(m), n, seeds))
+        ranges = [block for block, _ in blocks]
+        assert [r.step for r in ranges] == [1] * len(ranges)
+        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+        assert ranges[-1].stop == reps
+        sizes = [len(r) for r in ranges]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert len(ranges) == expected_block_count(reps, n, m)
+        if (n - 1) * m >= sampling.BATCH_ELEMENTS:
+            assert sizes == [1] * reps
+        for block, choices in blocks:
+            assert choices.shape == (len(block), n - 1, m)
+
+
+@pytest.mark.parametrize("n, reps, sizes", [
+    (500, 10, [10]), (1000, 8, [4, 4]), (1000, 32, [4] * 8), (1000, 10, [5, 5]), (5000, 3, [1, 1, 1]),
+])
+def test_block_split_examples(n, reps, sizes):
+    got = [len(block) for block, _ in gof.replication_blocks(pref_attach(1), n, list(range(reps)))]
+    assert got == sizes
