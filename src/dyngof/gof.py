@@ -214,8 +214,8 @@ def threshold_radius(cfg: TestConfig, n: int, seed: int) -> RadiusEstimate:
     return sampling_radius_estimate(n, cfg, cfg.alpha_mode.replications, seed)
 
 
-def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
-    """Half the summed one-step TV between m0 and m1 along one trajectory.
+def dn_summands(m0: ModelSpec, m1: ModelSpec, choices: np.ndarray) -> list[float]:
+    """Half the summed one-step TV between m0 and m1 along each trajectory of a (K, n-1, m) stack, in one pass.
 
     At state time j (j vertices, degrees d_v, total degree 2mj) model k
     puts mass (beta_k*d_v + a_k) / (N_k*j) on vertex v, N_k = 2m*beta_k + a_k.
@@ -225,19 +225,12 @@ def dn_summand(m0: ModelSpec, m1: ModelSpec, traj: Trajectory) -> float:
     d, so one sort of the choices by target and time and one cumsum give
     every H_j: O(n*m*log(n*m)) time, O(n*m) memory. With integer or
     dyadic shifts every H_j is exact. The mean over trajectories drawn
-    from m1 is the model distance dn(m0, m1) at horizon traj.n. This is
-    dn_summands on a block of one.
-    """
-    return dn_summands(m0, m1, traj.choices[None])[0]
-
-
-def dn_summands(m0: ModelSpec, m1: ModelSpec, choices: np.ndarray) -> list[float]:
-    """dn_summand of each trajectory of a (K, n-1, m) stack, in one pass, with its bits.
+    from m1 is the model distance dn(m0, m1) at horizon n.
 
     models.sorted_hits gives every hit's row and degree before it. The
     bincount of gains over the K*n rows adds each (replication, row) bin in
     target order, as a lone trajectory's sort does, H runs its cumsum per
-    replication, and each replication keeps its own np.sum.
+    replication, and each keeps its own np.sum: no value depends on the block.
     """
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
     if not m0.m == m1.m == m:

@@ -60,40 +60,46 @@ class ProbePlan:
     width: int
 
     def __post_init__(self):
-        points = _integer_points(self.points)
+        points, width = _plan_rule(self.width, self.points, 1)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "width", _integer("width", self.width))
-        if points.ndim != 1 or points.size < 1:
-            raise ValueError("plan needs at least one probe point")
-        if self.width < 1:
-            raise ValueError("width must be positive")
-        if np.any(np.diff(points) < 0):
-            raise ValueError("probe points must be sorted")
-        if points[0] < 2:
-            raise ValueError("probe points start at 2")
+        object.__setattr__(self, "width", width)
 
     @property
     def count(self) -> int:
         return int(self.points.size)
 
 
-def _integer_points(points) -> np.ndarray:
-    """points as int64; models._integer's rule, by dtype: float, string or bool points raise rather than truncate."""
-    points = np.asarray(points)
-    if points.size and points.dtype.kind not in "iu":
-        raise ValueError(f"points: expected integers, got {points.dtype} values")
-    return np.asarray(points, dtype=np.int64)
+def _plan_rule(width, points=None, ndim: int = 1) -> tuple[np.ndarray | None, int]:
+    """points, if given, as int64 plans along the last of ndim axes and width as an int, or ValueError."""
+    width = _integer("width", width)
+    if width < 1:
+        raise ValueError("infeasible plan: width must be positive")
+    if points is not None:
+        points = np.asarray(points)
+        if points.size and points.dtype.kind not in "iu":
+            raise ValueError(f"points: expected integers, got {points.dtype} values")
+        if points.ndim != ndim:
+            raise ValueError(f"points: expected {ndim}-D, got shape {points.shape}")
+        if points.size < 1:
+            raise ValueError("plan needs at least one probe point")
+        points = np.asarray(points, dtype=np.int64)
+        if np.any(points[..., 1:] < points[..., :-1]):  # np.diff would wrap around at int64's ends
+            raise ValueError("infeasible plan: probe points must be sorted")
+        if points[..., 0].min() < 2:
+            raise ValueError("infeasible plan: probe points start at 2")
+    return points, width
 
 
 def probe_points(n: int, count: int, width: int, rngs: list) -> np.ndarray:
     """Row k of the (len(rngs), count) result: rngs[k]'s uniform draws from {2, ..., n+1-width}, sorted.
 
-    Draws are with replacement; the range keeps every window [r, r+width) inside the trajectory, and the
-    horizon and count are checked before any draw.
+    Draws are with replacement; the range keeps every window [r, r+width) inside the trajectory. The horizon
+    (first: a config's width at n <= 0 is 0), width and count are checked before any draw.
     """
-    if n < width + 2:
+    if n < _integer("width", width) + 2:
         raise ValueError("infeasible config: window exceeds horizon")
-    if count < 1:
+    _, width = _plan_rule(width)
+    if _integer("count", count) < 1:
         raise ValueError("need at least one probe point")
     draws = [rng.integers(2, n + 2 - width, size=count) for rng in rngs]
     return np.sort(np.array(draws, dtype=np.int64).reshape(len(rngs), count), axis=1)
@@ -175,13 +181,13 @@ def probe_tvs_block(
     if choices.ndim != 3 or 0 in choices.shape:
         raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
-    if len(points) != reps:
-        raise ValueError(f"block has {reps} trajectories but {len(points)} plans")
     if model.m != m:
         raise ValueError("null model and trajectory disagree on edges per arrival")
-    points = _integer_points(points)
-    if width < 1 or points[:, 0].min() < 2 or np.any(np.diff(points) < 0) or points[:, -1].max() + width > n + 1:
-        raise ValueError("infeasible plan: rows must be sorted times from 2 whose windows fit the trajectory")
+    points, width = _plan_rule(width, points, 2)
+    if len(points) != reps:
+        raise ValueError(f"block has {reps} trajectories but {len(points)} plans")
+    if points[:, -1].max() > n + 1 - width:  # not r + width, which wraps for r near 2**63
+        raise ValueError("infeasible plan: windows must fit the trajectory")
     total = (n - 1) * m  # choices per replication
     bounds = np.arange(reps + 1)
     origin = bounds[:-1] * n  # each replication's vertex and row 0

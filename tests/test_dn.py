@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from dyngof.gof import dn_estimate, dn_summand
+from dyngof.gof import dn_estimate, dn_summands
 from dyngof.models import (
     IncrementalReplay,
     Trajectory,
@@ -84,17 +84,17 @@ def test_summand_expectation_matches_exact_dn(n):
         trajs = [Trajectory(n, 1, np.array(c, dtype=np.int64).reshape(n - 1, 1), "fixture", 0)
                  for c, _ in listing]
         for m0 in pool:
-            got = sum(float(p) * dn_summand(m0, m1, traj) for traj, (_, p) in zip(trajs, listing))
+            got = sum(float(p) * dn_summands(m0, m1, traj.choices[None])[0] for traj, (_, p) in zip(trajs, listing))
             assert abs(got - float(exact_dn(m0, m1, n))) <= 1e-12
 
 
 def test_summand_hand_value_pa_vs_uniform():
     # States j = 1, 2, 3 with degrees (2), (3, 1), (4, 1, 1): TV 0, 1/4, 1/3.
     traj = Trajectory(4, 1, np.array([[1], [1], [2]]), "fixture", 0)
-    assert dn_summand(pref_attach(), uniform_attach(), traj) == pytest.approx(7 / 24, rel=REL_TOL)
+    assert dn_summands(pref_attach(), uniform_attach(), traj.choices[None])[0] == pytest.approx(7 / 24, rel=REL_TOL)
 
 
 def test_summand_rejects_edge_mismatch():
     traj = sample_trajectory(pref_attach(2), 10, 0)
     with pytest.raises(ValueError):
-        dn_summand(pref_attach(1), uniform_attach(1), traj)
+        dn_summands(pref_attach(1), uniform_attach(1), traj.choices[None])[0]

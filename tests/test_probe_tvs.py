@@ -240,6 +240,14 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
     ("width-zero", "infeasible plan"),
     ("count", "2 trajectories but 1 plans"),
     ("float", "^points: expected integers, got float64 values$"),  # ProbePlan's message
+    ("width-2.0", "width: expected an integer"),
+    ("width-2.5", "width: expected an integer"),
+    ("width-True", "width: expected an integer"),
+    ("no-points", "plan needs at least one probe point"),
+    ("1-D", "points: expected 2-D"),
+    ("3-D", "points: expected 2-D"),
+    ("huge", "infeasible plan: windows must fit"),  # r + width would wrap to a negative int64
+    ("uint64", "infeasible plan: probe points must be sorted"),  # 2**63 casts to -2**63
 ])
 def test_block_contract_is_checked(case, message):
     trajs = [sample_trajectory(pref_attach(), 200, seed) for seed in (1, 2)]
@@ -252,15 +260,83 @@ def test_block_contract_is_checked(case, message):
         points[1] = [120, 50]  # a ProbePlan rejects these three; raw points are checked by the kernel
     elif case == "below-two":
         points[1] = [1, 120]
-    elif case == "width-zero":
-        width = 0
     elif case == "count":
         points = points[:1]
     elif case == "float":
         points = points + 0.5
+    elif case.startswith("width-"):
+        width = {"2.0": 2.0, "2.5": 2.5, "True": True, "zero": 0}[case[6:]]
+    elif case == "no-points":
+        points = points[:, :0]
+    elif case == "1-D":
+        points = points[0]
+    elif case == "3-D":
+        points = points[:, None]
+    elif case == "huge":
+        points[1] = [50, 2**63 - 5]
+    elif case == "uint64":
+        points = np.array([[50, 120], [50, 2**63]], dtype=np.uint64)
     choices = np.stack([t.choices for t in trajs])
     if case == "n":
         choices = choices[0]  # one trajectory's (n-1, m) array, not a stack
     with pytest.raises(ValueError, match=message):
         sampling.probe_tvs_block(choices, pref_attach(), points, width)
 
+
+def malformed(plan, n, draw):
+    """(row, width, what): plan broken in one way, what naming the rule it breaks."""
+    row, width = plan.points.copy(), plan.width
+    what = ("float", "bool", "str", "width", "empty", "unsorted", "below-two", "horizon")[int(draw.integers(8))]
+    if what == "float":
+        row = row + (0.0, 0.5)[int(draw.integers(2))]
+    elif what == "bool":
+        row = row > 3
+    elif what == "str":
+        row = row.astype(str)
+    elif what == "width":
+        width = (0, -1, 2.0, 2.5, True, "3")[int(draw.integers(6))]
+    elif what == "empty":
+        row = row[:0].astype((np.int64, np.float64)[int(draw.integers(2))])
+    elif what == "unsorted":
+        row = np.append(row, row[-1] - 1)
+    elif what == "below-two":
+        row[0] = draw.integers(-3, 2)
+    else:  # the last window ends past arrival n
+        row[-1] = n + 2 - width + draw.integers(0, 3)
+    return row, width, what
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_fuzzed_plans_are_checked_by_one_rule(case):
+    # Every caller of the plan rule raises ValueError, never IndexError or TypeError, with one
+    # message; the horizon is the kernel's alone to check. Valid plans keep their bits in a block.
+    draw = np.random.default_rng([case, 67])
+    n = int(draw.integers(4, 60))
+    trajs = [sample_trajectory(pref_attach(), n, seed) for seed in (case, case + 100)]
+    choices = np.stack([t.choices for t in trajs])
+    for _ in range(10):
+        width = int(draw.integers(1, n - 1))
+        plans = [sample_probe_points(n, 3, width, draw) for _ in trajs]
+        tvs, kept = sampling.probe_tvs_block(choices, pref_attach(), np.stack([p.points for p in plans]), width)
+        for k, (traj, plan) in enumerate(zip(trajs, plans)):
+            alone_tvs, alone_kept = probe_tvs(traj, pref_attach(), plan)
+            np.testing.assert_array_equal(bits(tvs[3 * k : 3 * k + 3]), bits(alone_tvs))
+            np.testing.assert_array_equal(kept[3 * k : 3 * k + 3], alone_kept)
+
+        row, width, what = malformed(plans[0], n, draw)
+        with pytest.raises(ValueError) as in_kernel:
+            sampling.probe_tvs_block(choices[:1], pref_attach(), [row], width)
+        if what == "horizon":
+            assert str(in_kernel.value) == "infeasible plan: windows must fit the trajectory"
+            ProbePlan(row, width)
+            continue
+        with pytest.raises(ValueError) as in_plan:
+            ProbePlan(row, width)
+        assert str(in_plan.value) == str(in_kernel.value)
+        rng = np.random.default_rng(case)
+        state = rng.bit_generator.state
+        count = (0, -2, 2.0, True, "3", 3)[int(draw.integers(6))]
+        if what == "width" or count != 3:
+            with pytest.raises(ValueError):
+                sampling.probe_points(n, count, width if what == "width" else 1, [rng])
+            assert rng.bit_generator.state == state

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dyngof import gof, sampling
-from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, dn_summand, dn_summands, statistic_samples
+from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, dn_summands, statistic_samples
 from dyngof.harness import ExperimentConfig, run_success_experiment
 from dyngof.models import affine_pref_attach, pref_attach, sample_choices, sample_trajectory, uniform_attach
 
@@ -284,7 +284,7 @@ def test_stacked_dn_matches_each_summand(m):
         for n in (2, 3, int(draw.integers(4, 300))):
             seeds = [int(s) for s in draw.integers(1 << 62, size=int(draw.integers(2, 10)))]
             got = dn_summands(m0, m1, sample_choices(m1, n, seeds))
-            want = [dn_summand(m0, m1, sample_trajectory(m1, n, seed)) for seed in seeds]
+            want = [dn_summands(m0, m1, sample_trajectory(m1, n, seed).choices[None])[0] for seed in seeds]
             np.testing.assert_array_equal(bits(got), bits(want))
 
 

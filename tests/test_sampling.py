@@ -116,6 +116,12 @@ class TestProbePlan:
         with pytest.raises(ValueError, match="points: expected integers"):
             ProbePlan(points=points, width=3)
 
+    @pytest.mark.parametrize("points", [np.array([2, 2**63], dtype=np.uint64), np.array([2**63 - 1, -2])])
+    def test_rejects_points_that_wrap_in_int64(self, points):
+        # In int64 the second point is below the first (2**63 casts to -2**63), and their difference wraps above 0.
+        with pytest.raises(ValueError, match="sorted"):
+            ProbePlan(points=points, width=3)
+
     @pytest.mark.parametrize("width", [2.5, 3.0, True, "3"])
     def test_rejects_non_integral_width(self, width):
         with pytest.raises(ValueError, match="width: expected an integer"):
