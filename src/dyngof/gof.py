@@ -91,6 +91,11 @@ class RadiusEstimate:
     mean: float
     std: float
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> RadiusEstimate:
+        """The mean and the ddof=1 standard deviation of the statistic values."""
+        return cls(mean=float(np.mean(values)), std=float(np.std(values, ddof=1)))
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -163,20 +168,39 @@ def replication_blocks(model: ModelSpec, n: int, seeds: list[int]):
         del choices  # as each consumer does, so no block is held while the next is drawn
 
 
+def block_statistics(choices: np.ndarray, cfg: TestConfig, plan_rngs: list, nulls: list) -> np.ndarray:
+    """Row j, column k: S against nulls[j] of the stack's trajectory k, on the plan plan_rngs[k] draws.
+
+    cfg gives the probe count and width at the stack's n. The K plans are one (K, M) probe_points array, which
+    each null scores in one probe_tvs_block pass; each value has test_statistic's bits.
+    """
+    reps, n = choices.shape[0], choices.shape[1] + 1
+    probes, width = cfg.probes_for(n), cfg.width_for(n)
+    points = probe_points(n, probes, width, plan_rngs)
+    return np.array(
+        [probe_sum(probe_tvs_block(choices, null, points, width)[0].reshape(reps, probes)) for null in nulls]
+    )
+
+
 def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, plan_rngs: list) -> np.ndarray:
     """S against cfg.null_model of gen_model's trajectory from traj_seeds[i], on a plan from plan_rngs[i].
 
-    One probe_tvs_block pass scores each block of replication_blocks; each value has test_statistic's bits.
+    block_statistics scores each block of replication_blocks.
     """
-    probes, width = cfg.probes_for(n), cfg.width_for(n)
-    probe_points(n, probes, width, [])  # the horizon check names the window before sample_choices rejects n
+    # The horizon check names the window before sample_choices rejects n.
+    probe_points(n, cfg.probes_for(n), cfg.width_for(n), [])
     values = np.empty(len(traj_seeds))
     for block, choices in replication_blocks(gen_model, n, traj_seeds):
-        points = probe_points(n, probes, width, plan_rngs[block.start : block.stop])
-        tvs = probe_tvs_block(choices, cfg.null_model, points, width)[0]
-        values[block.start : block.stop] = probe_sum(tvs.reshape(len(block), probes))
+        at = slice(block.start, block.stop)
+        values[at] = block_statistics(choices, cfg, plan_rngs[at], [cfg.null_model])[0]
         del choices
     return values
+
+
+def replication_seeds(seed: int, replications: int) -> tuple[list[int], list]:
+    """The trajectory seeds and probe-plan streams of statistic_samples: replication i's derive from (seed, i) alone."""
+    reps = range(replications)
+    return [derive_seed(seed, TAG_TRAJECTORY, i) for i in reps], [stream(seed, TAG_PROBES, i) for i in reps]
 
 
 def statistic_samples(gen_model: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int) -> np.ndarray:
@@ -187,8 +211,7 @@ def statistic_samples(gen_model: ModelSpec, n: int, cfg: TestConfig, replication
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    traj_seeds = [derive_seed(seed, TAG_TRAJECTORY, i) for i in range(replications)]
-    return statistics(gen_model, n, cfg, traj_seeds, [stream(seed, TAG_PROBES, i) for i in range(replications)])
+    return statistics(gen_model, n, cfg, *replication_seeds(seed, replications))
 
 
 def sampling_radius_estimate(n: int, cfg: TestConfig, replications: int, seed: int) -> RadiusEstimate:
@@ -200,8 +223,7 @@ def sampling_radius_estimate(n: int, cfg: TestConfig, replications: int, seed: i
     """
     if replications < 2:
         raise ValueError("radius estimation needs at least 2 replications")
-    values = statistic_samples(cfg.null_model, n, cfg, replications, seed)
-    return RadiusEstimate(mean=float(np.mean(values)), std=float(np.std(values, ddof=1)))
+    return RadiusEstimate.of(statistic_samples(cfg.null_model, n, cfg, replications, seed))
 
 
 def threshold_radius(cfg: TestConfig, n: int, seed: int) -> RadiusEstimate:

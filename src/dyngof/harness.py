@@ -21,8 +21,11 @@ from .gof import (
     RadiusEstimate,
     SampledAlpha,
     TestConfig,
-    dn_estimate,
+    block_statistics,
+    dn_summands,
+    probe_sum,
     replication_blocks,
+    replication_seeds,
     sampling_radius_estimate,
     statistic_samples,
     statistics,
@@ -214,6 +217,13 @@ def calibrate_D(
     between the cross mean and the null radius, which places the threshold
     radius + D/2 exactly halfway between the two statistic means at this n.
     The directed model distance is estimated alongside for reporting.
+
+    Only the suggestion needs the alternative's draws to be independent of
+    the null's. So one pass over the alternative's replications, on the
+    seeds and plans of its radius estimate, scores each trajectory against
+    both models and takes its dn summand (common random numbers): the
+    alternative's radius has sampling_radius_estimate's bits, and the cross
+    mean and dn have those of scoring each replication alone.
     """
     if replications < 10:
         raise ValueError("calibration needs at least 10 replications")
@@ -221,21 +231,23 @@ def calibrate_D(
         raise ValueError("models not separated at this n: identical mechanisms")
     tc = TestConfig(null_model=m0, D=1.0, width_fraction=width_fraction, probe_fraction=probe_fraction)
     radius_null = sampling_radius_estimate(n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 0))
-    radius_alt = sampling_radius_estimate(
-        n, replace(tc, null_model=m1), replications, derive_seed(seed, TAG_EXPERIMENT, 1)
-    )
-    cross = statistic_samples(m1, n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 2))
+    traj_seeds, plan_rngs = replication_seeds(derive_seed(seed, TAG_EXPERIMENT, 1), replications)
+    alt, cross, dn = np.empty((3, replications))
+    for block, choices in replication_blocks(m1, n, traj_seeds):
+        at = slice(block.start, block.stop)
+        alt[at], cross[at] = block_statistics(choices, tc, plan_rngs[at], [m1, m0])
+        dn[at] = dn_summands(m0, m1, choices)
+        del choices
     cross_mean = float(np.mean(cross))
     suggested = cross_mean - radius_null.mean
     if suggested <= 0:
         raise ValueError("models not separated at this n")
-    dn = dn_estimate(m0, m1, n, replications, derive_seed(seed, TAG_EXPERIMENT, 3))
     return CalibrationResult(
         D_suggested=suggested,
         radius_null=radius_null,
-        radius_alt=radius_alt,
+        radius_alt=RadiusEstimate.of(alt),
         cross_mean=cross_mean,
-        dn=dn,
+        dn=float(probe_sum(dn)) / replications,  # dn_estimate's left-to-right sum
     )
 
 

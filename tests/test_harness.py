@@ -5,7 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig
+from dyngof.gof import (
+    FixedAlpha,
+    SampledAlpha,
+    TestConfig,
+    dn_summands,
+    probe_sum,
+    replication_blocks,
+    sampling_radius_estimate,
+)
 from dyngof.harness import (
     EXPERIMENT_CALIBRATION,
     EXPERIMENT_CONCENTRATION,
@@ -36,8 +44,17 @@ from dyngof.harness import (
 )
 from dyngof.harness import test_config_from_dict as config_from_dict  # renamed: not a test case
 from dyngof.harness import test_config_to_dict as config_to_dict
-from dyngof.models import affine_pref_attach, pref_attach, replay, sample_trajectory, step_distribution, uniform_attach
-from dyngof.rng import TAG_TAIL, derive_seed
+from dyngof.models import (
+    affine_pref_attach,
+    pref_attach,
+    replay,
+    sample_choices,
+    sample_trajectory,
+    step_distribution,
+    uniform_attach,
+)
+from dyngof.rng import TAG_EXPERIMENT, TAG_PROBES, TAG_TAIL, TAG_TRAJECTORY, derive_seed, stream
+from dyngof.sampling import probe_points, probe_tvs_block
 
 PA = pref_attach()
 UNI = uniform_attach()
@@ -329,6 +346,28 @@ class TestCalibrateD:
         with pytest.raises(ValueError, match="at least 10"):
             calibrate_D(PA, UNI, 100, 5, seed=7)
 
+    @pytest.mark.parametrize("n, replications, blocks", [(500, 10, [10]), (2000, 12, [2] * 6)])
+    def test_shared_pass_matches_one_replication_at_a_time(self, n, replications, blocks):
+        """The radii keep sampling_radius_estimate's bits; the cross mean and dn score M1's radius draws alone."""
+        seed = 21
+        tc = TestConfig(null_model=PA, D=1.0)
+        s0, s1 = derive_seed(seed, TAG_EXPERIMENT, 0), derive_seed(seed, TAG_EXPERIMENT, 1)
+        traj_seeds = [derive_seed(s1, TAG_TRAJECTORY, i) for i in range(replications)]
+        assert [len(block) for block, _ in replication_blocks(UNI, n, traj_seeds)] == blocks
+        probes, width = tc.probes_for(n), tc.width_for(n)
+        cross, dn = [], 0.0
+        for i, traj_seed in enumerate(traj_seeds):
+            choices = sample_choices(UNI, n, [traj_seed])
+            points = probe_points(n, probes, width, [stream(s1, TAG_PROBES, i)])
+            cross.append(probe_sum(probe_tvs_block(choices, PA, points, width)[0]))
+            dn += dn_summands(PA, UNI, choices)[0]
+        cal = calibrate_D(PA, UNI, n, replications, seed)
+        assert cal.radius_null == sampling_radius_estimate(n, tc, replications, s0)
+        assert cal.radius_alt == sampling_radius_estimate(n, TestConfig(null_model=UNI, D=1.0), replications, s1)
+        assert cal.cross_mean == float(np.mean(cross))
+        assert cal.dn == dn / replications
+        assert cal.D_suggested == cal.cross_mean - cal.radius_null.mean
+
 
 class TestOtherRunners:
     def test_radius_scan(self):
@@ -373,9 +412,10 @@ class TestCsvPersistence:
 
     def test_explicit_output_reruns_identically(self, tmp_path):
         out = tmp_path / "out.csv"
-        cfg = base_config(EXPERIMENT_CONCENTRATION, n_values=(50,), replications=10)
-        cfg = ExperimentConfig(**{**cfg.__dict__, "output_path": str(out)})
-        run_experiment(cfg)
-        first = out.read_bytes()
-        run_experiment(cfg)
-        assert out.read_bytes() == first
+        for experiment, n_values in ((EXPERIMENT_CONCENTRATION, (50,)), (EXPERIMENT_CALIBRATION, (150, 300))):
+            cfg = base_config(experiment, n_values=n_values, replications=10)
+            cfg = ExperimentConfig(**{**cfg.__dict__, "output_path": str(out)})
+            run_experiment(cfg)
+            first = out.read_bytes(), (tmp_path / "out.json").read_bytes()
+            run_experiment(cfg)
+            assert (out.read_bytes(), (tmp_path / "out.json").read_bytes()) == first, experiment
