@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sampling
-from .models import ModelSpec, Trajectory, _integer, check_targets, sample_choices, sorted_hits
+from .models import ModelSpec, Trajectory, _integer, _real, check_targets, sample_choices, sorted_hits
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
 from .sampling import ProbePlan, probe_points, probe_tvs, probe_tvs_block, sample_probe_points
 
@@ -43,6 +43,7 @@ class FixedAlpha:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", _real("radius", self.radius))
         if not 0 <= self.radius < math.inf:
             raise ValueError(f"fixed radius must be finite and nonnegative, got {self.radius}")
 
@@ -64,6 +65,8 @@ class TestConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer("seed", self.seed))
+        for name in ("D", "width_fraction", "probe_fraction"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0 < self.D < math.inf:
             raise ValueError(f"D must be positive and finite, got {self.D}")
         if not 0 < self.width_fraction < 1:

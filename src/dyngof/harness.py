@@ -150,11 +150,10 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
     for k, n in enumerate(cfg.n_values):
         seed = derive_seed(tc.seed, TAG_EXPERIMENT, k)
         values = statistic_samples(cfg.null_model, n, tc, cfg.replications, seed)
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1))
-        cv = std / mean if mean > 0 else float("nan")
-        exceed = [float(np.mean(np.abs(values - mean) > c * n)) for c in EXCEEDANCE_LEVELS]
-        rows.append([n, mean, std, cv] + exceed)
+        est = RadiusEstimate.of(values)
+        cv = est.std / est.mean if est.mean > 0 else float("nan")
+        exceed = [float(np.mean(np.abs(values - est.mean) > c * n)) for c in EXCEEDANCE_LEVELS]
+        rows.append([n, est.mean, est.std, cv] + exceed)
     return Table(header, rows)
 
 
@@ -201,17 +200,11 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
     )
 
 
-def calibrate_D(
-    m0: ModelSpec,
-    m1: ModelSpec,
-    n: int,
-    replications: int,
-    seed: int,
-    width_fraction: float = TestConfig.width_fraction,
-    probe_fraction: float = TestConfig.probe_fraction,
-) -> CalibrationResult:
-    """Suggest a separation constant from the measured statistic gap.
+def calibrate_D(m1: ModelSpec, n: int, cfg: TestConfig, replications: int, seed: int) -> CalibrationResult:
+    """Suggest a separation constant from the measured statistic gap between cfg.null_model and m1.
 
+    cfg gives the null model and the window and probe fractions, as it does
+    to statistic_samples; its D, alpha mode and seed are not read.
     Estimates both models' expected statistics against themselves and the
     alternative's statistic against the null; the suggestion is the gap
     between the cross mean and the null radius, which places the threshold
@@ -227,15 +220,15 @@ def calibrate_D(
     """
     if replications < 10:
         raise ValueError("calibration needs at least 10 replications")
+    m0 = cfg.null_model
     if m0 == m1:
         raise ValueError("models not separated at this n: identical mechanisms")
-    tc = TestConfig(null_model=m0, D=1.0, width_fraction=width_fraction, probe_fraction=probe_fraction)
-    radius_null = sampling_radius_estimate(n, tc, replications, derive_seed(seed, TAG_EXPERIMENT, 0))
+    radius_null = sampling_radius_estimate(n, cfg, replications, derive_seed(seed, TAG_EXPERIMENT, 0))
     traj_seeds, plan_rngs = replication_seeds(derive_seed(seed, TAG_EXPERIMENT, 1), replications)
     alt, cross, dn = np.empty((3, replications))
     for block, choices in replication_blocks(m1, n, traj_seeds):
         at = slice(block.start, block.stop)
-        alt[at], cross[at] = block_statistics(choices, tc, plan_rngs[at], [m1, m0])
+        alt[at], cross[at] = block_statistics(choices, cfg, plan_rngs[at], [m1, m0])
         dn[at] = dn_summands(m0, m1, choices)
         del choices
     cross_mean = float(np.mean(cross))
@@ -280,11 +273,7 @@ def run_calibration_experiment(cfg: ExperimentConfig) -> Table:
               "radius_M1_mean", "radius_M1_std", "cross_mean", "dn"]
     rows = []
     for k, n in enumerate(cfg.n_values):
-        cal = calibrate_D(
-            cfg.null_model, cfg.alt_model, n, cfg.replications,
-            derive_seed(tc.seed, TAG_EXPERIMENT, 100 + k),
-            width_fraction=tc.width_fraction, probe_fraction=tc.probe_fraction,
-        )
+        cal = calibrate_D(cfg.alt_model, n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, 100 + k))
         rows.append(
             [n, cal.D_suggested, cal.radius_null.mean, cal.radius_null.std,
              cal.radius_alt.mean, cal.radius_alt.std, cal.cross_mean, cal.dn]
@@ -363,7 +352,7 @@ def test_config_to_dict(tc: TestConfig) -> dict:
 
 def _alpha_mode_from_dict(d: dict) -> SampledAlpha | FixedAlpha:
     if d["mode"] == "fixed":
-        return FixedAlpha(radius=float(d["radius"]))
+        return FixedAlpha(radius=d["radius"])
     if d["mode"] == "sampled":
         return SampledAlpha(d.get("replications", SampledAlpha.replications))
     raise ValueError(f"unknown alpha mode {d['mode']!r} (use 'sampled' or 'fixed')")
@@ -396,9 +385,9 @@ def test_config_from_dict(d: dict) -> TestConfig:
 def _test_config(d: dict) -> TestConfig:
     return TestConfig(
         null_model=_parse("test_config.null_model", _model, d["null_model"], model_to_dict),
-        D=float(d.get("D", 1.0)),
-        width_fraction=float(d.get("width_fraction", TestConfig.width_fraction)),
-        probe_fraction=float(d.get("probe_fraction", TestConfig.probe_fraction)),
+        D=d.get("D", 1.0),
+        width_fraction=d.get("width_fraction", TestConfig.width_fraction),
+        probe_fraction=d.get("probe_fraction", TestConfig.probe_fraction),
         alpha_mode=_parse("test_config.alpha_mode", _alpha_mode_from_dict,
                           d.get("alpha_mode", {"mode": "sampled"}), alpha_mode_to_dict),
         seed=d.get("seed", TestConfig.seed),

@@ -67,6 +67,7 @@ class ModelSpec:
         if self.kind not in _AFFINE_RULE:
             raise ValueError(f"unknown model kind {self.kind!r}")
         object.__setattr__(self, "m", _check_edges(self.m))
+        object.__setattr__(self, "a", _real("a", self.a))
         if not 0 <= self.a < math.inf:
             raise ValueError("a must be finite and nonnegative")
         if self.kind != KIND_AFFINE and self.a != 0.0:
@@ -86,19 +87,12 @@ class ModelSpec:
     def attachment_probability(self, degrees, t: int):
         """P(one choice of arrival t+1 picks a vertex of the given degree(s)).
 
-        The single float evaluation of the affine rule: the shift is added
-        only when nonzero and beta = 0 fills a constant, so each mechanism
-        costs no more than its own closed form and gives the same bits. t
-        may be an array of the degrees' shape, one time per degree; each
-        entry then has the bits of the scalar call.
+        The single float evaluation of the affine rule, one expression for
+        every mechanism. t may be an array of the degrees' shape, one time
+        per degree; each entry then has the bits of the scalar call.
         """
         beta, shift = self.beta, self.shift
-        norm = 2 * self.m * beta * t + shift * t
-        if beta == 0:
-            return np.full(np.shape(degrees), shift / norm)
-        if shift:
-            degrees = degrees + shift
-        return degrees / norm
+        return (beta * degrees + shift) / (2 * self.m * beta * t + shift * t)
 
 
 class _DerivedLabel(str):
@@ -110,6 +104,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float; a bool, string or other non-real raises ValueError rather than converting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _check_edges(m: int) -> int:
@@ -310,10 +311,9 @@ def sample_choices(model: ModelSpec, n: int, seeds: list[int]) -> np.ndarray:
     x -= r
     r //= m
     x -= r
-    if reps > 1:
-        # A pointer of replication k also skips the k*(n-1)*m choices of the
-        # replications before it in the flat stack.
-        x -= (n - 1) * m * np.arange(reps)[:, None, None]
+    # A pointer of replication k also skips the k*(n-1)*m choices of the
+    # replications before it in the flat stack (none for a lone block).
+    x -= (n - 1) * m * np.arange(reps)[:, None, None]
     x *= pointer
     r += 1
     x += r
@@ -354,8 +354,7 @@ def sorted_hits(choices: np.ndarray) -> tuple:
     origin = np.arange(0, reps * n, n)[:, None]  # each replication's vertex and row 0
     shift = (reps * n * m).bit_length()
     key = np.left_shift(choices.reshape(reps, -1), shift, dtype=np.int64)
-    if reps > 1:
-        key += origin << shift
+    key += origin << shift
     key |= np.arange(reps * n * m).reshape(reps, n * m)[:, : key.shape[1]]
     key = key.ravel()
     key.sort()

@@ -147,7 +147,7 @@ def test_criterion_4_concentration_trend():
 
 def test_criterion_5_distinguishability_with_calibrated_threshold():
     with _Criterion(5, "distinguishability"):
-        cal = calibrate_D(PA, UNI, 500, 32, seed=808001)
+        cal = calibrate_D(UNI, 500, TestConfig(null_model=PA, D=1.0), 32, seed=808001)
         assert cal.D_suggested > 0
         tc = TestConfig(
             null_model=PA, D=cal.D_suggested, width_fraction=0.1, probe_fraction=0.5,

@@ -318,9 +318,11 @@ class TestExperimentCommand:
         {"null_model": {"kind": "pa", "m": 1.5}},
         {"test_config": {"seed": 4, "alpha_mode": {"mode": "weird"}}},
         {"alt_model": {"kind": "uniform", "m": 2}},
+        {"null_model": {"kind": "affine-pa", "a": True}},
+        {"test_config": {"seed": 4, "D": "30"}},
     ], ids=["not-object", "replications-null", "m-string", "test-config-list", "n-values-float",
             "n-values-string", "replications-float", "replications-string", "seed-float",
-            "alpha-replications-float", "m-float", "alpha-mode-unknown", "alt-m-mismatch"])
+            "alpha-replications-float", "m-float", "alpha-mode-unknown", "alt-m-mismatch", "a-bool", "D-string"])
     def test_bad_config_type_is_usage_error(self, tmp_path, config):
         if isinstance(config, dict):
             config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},

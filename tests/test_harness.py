@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dyngof.gof import (
     probe_sum,
     replication_blocks,
     sampling_radius_estimate,
+    test_dynamic_graph,
 )
 from dyngof.harness import (
     EXPERIMENT_CALIBRATION,
@@ -136,6 +138,29 @@ class TestExperimentConfig:
     def test_test_config_rejects_non_integer_fields(self, field):
         with pytest.raises(ValueError, match="expected an integer"):
             config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0, **field})
+
+    @pytest.mark.parametrize("field, name", [
+        ({"D": True}, "D"), ({"D": "30"}, "D"), ({"D": None}, "D"),
+        ({"width_fraction": "0.1"}, "width_fraction"), ({"probe_fraction": False}, "probe_fraction"),
+        ({"alpha_mode": {"mode": "fixed", "radius": True}}, "radius"),
+        ({"alpha_mode": {"mode": "fixed", "radius": "5"}}, "radius"),
+        ({"null_model": {"kind": "affine-pa", "a": True}}, "a"),
+        ({"null_model": {"kind": "affine-pa", "a": "0.5"}}, "a"),
+    ], ids=str)
+    def test_test_config_rejects_non_real_fields(self, field, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
+            config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0, **field})
+
+    def test_real_fields_are_stored_as_floats(self):
+        tc = config_from_dict({"null_model": {"kind": "affine-pa", "a": 1}, "D": 30, "width_fraction": 0.25,
+                               "alpha_mode": {"mode": "fixed", "radius": 5}})
+        assert tc == TestConfig(null_model=affine_pref_attach(1.0), D=30.0, width_fraction=0.25,
+                                alpha_mode=FixedAlpha(5.0))
+        reals = (tc.null_model.a, tc.D, tc.width_fraction, tc.probe_fraction, tc.alpha_mode.radius)
+        assert all(type(value) is float for value in reals)
+        assert json.dumps(config_to_dict(tc)["null_model"]["a"]) == "1.0"  # a JSON integer a is written back as 1.0
+        with pytest.raises(ValueError, match="^a: expected a number, got True$"):
+            model_from_dict({"kind": "affine-pa", "a": True})
 
     def test_test_config_defaults_are_test_config_defaults(self):
         assert config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0}) == TestConfig(null_model=PA, D=1.0)
@@ -331,10 +356,10 @@ class TestTailDiagnostic:
 class TestCalibrateD:
     def test_identical_models_not_separated(self):
         with pytest.raises(ValueError, match="models not separated"):
-            calibrate_D(PA, pref_attach(), 100, 10, seed=5)
+            calibrate_D(pref_attach(), 100, TestConfig(null_model=PA, D=1.0), 10, seed=5)
 
     def test_separation_measured(self):
-        cal = calibrate_D(PA, UNI, 200, 12, seed=6)
+        cal = calibrate_D(UNI, 200, TestConfig(null_model=PA, D=1.0), 12, seed=6)
         assert cal.D_suggested > 0
         assert cal.cross_mean > cal.radius_null.mean
         assert cal.dn > 0
@@ -344,7 +369,7 @@ class TestCalibrateD:
 
     def test_needs_replications(self):
         with pytest.raises(ValueError, match="at least 10"):
-            calibrate_D(PA, UNI, 100, 5, seed=7)
+            calibrate_D(UNI, 100, TestConfig(null_model=PA, D=1.0), 5, seed=7)
 
     @pytest.mark.parametrize("n, replications, blocks", [(500, 10, [10]), (2000, 12, [2] * 6)])
     def test_shared_pass_matches_one_replication_at_a_time(self, n, replications, blocks):
@@ -361,7 +386,7 @@ class TestCalibrateD:
             points = probe_points(n, probes, width, [stream(s1, TAG_PROBES, i)])
             cross.append(probe_sum(probe_tvs_block(choices, PA, points, width)[0]))
             dn += dn_summands(PA, UNI, choices)[0]
-        cal = calibrate_D(PA, UNI, n, replications, seed)
+        cal = calibrate_D(UNI, n, tc, replications, seed)
         assert cal.radius_null == sampling_radius_estimate(n, tc, replications, s0)
         assert cal.radius_alt == sampling_radius_estimate(n, TestConfig(null_model=UNI, D=1.0), replications, s1)
         assert cal.cross_mean == float(np.mean(cross))
@@ -385,6 +410,52 @@ class TestOtherRunners:
         cfg = base_config(EXPERIMENT_CALIBRATION, n_values=(150,), replications=10)
         table = run_calibration_experiment(cfg)
         assert table.rows[0][1] > 0  # D_suggested
+
+
+class TestFractionsReachTheRuns:
+    """Each runner scores with its test config's width and probe fractions, not the defaults."""
+
+    FRACTIONS = {"width_fraction": 0.2, "probe_fraction": 0.3}
+
+    def config(self, experiment, fractions, **kwargs):
+        cfg = base_config(experiment, **kwargs)
+        return ExperimentConfig(**{**cfg.__dict__, "test_config": replace(cfg.test_config, **fractions)})
+
+    def rows(self, runner, experiment, **kwargs):
+        cfg = self.config(experiment, self.FRACTIONS, **kwargs)
+        rows = runner(cfg).rows
+        assert rows != runner(self.config(experiment, {}, **kwargs)).rows
+        return cfg.test_config, rows
+
+    def test_success_rate(self):
+        tc, rows = self.rows(run_success_experiment, EXPERIMENT_SUCCESS)
+        for k, (n, acc0, acc1, _, mean0, mean1, alpha) in enumerate(rows):
+            for hyp, model, acc, mean in ((0, PA, acc0, mean0), (1, UNI, acc1, mean1)):
+                # Replication i's trajectory seed and probe stream are those test_dynamic_graph draws from.
+                trajs = [sample_trajectory(model, n, derive_seed(tc.seed, TAG_EXPERIMENT, k, 1 + hyp, i)) for i in range(4)]
+                seeds = [derive_seed(tc.seed, TAG_EXPERIMENT, k, 3 + hyp, i) for i in range(4)]
+                reports = [test_dynamic_graph(traj, replace(tc, seed=seed)) for traj, seed in zip(trajs, seeds)]
+                assert alpha == reports[0].alpha
+                assert acc == sum(report.decision == hyp for report in reports) / 4
+                assert mean == float(np.mean([report.S for report in reports]))
+
+    def test_concentration(self):
+        tc, rows = self.rows(run_concentration_experiment, EXPERIMENT_CONCENTRATION, replications=10)
+        for k, row in enumerate(rows):
+            est = sampling_radius_estimate(row[0], tc, 10, derive_seed(tc.seed, TAG_EXPERIMENT, k))
+            assert row[1:4] == [est.mean, est.std, est.std / est.mean]
+
+    def test_radius_scan(self):
+        tc, rows = self.rows(run_radius_scan, EXPERIMENT_RADIUS_SCAN)
+        for k, row in enumerate(rows):
+            est = sampling_radius_estimate(row[0], tc, 4, derive_seed(tc.seed, TAG_EXPERIMENT, k))
+            assert row == [row[0], est.mean, est.std, 4]
+
+    def test_calibration(self):
+        tc, rows = self.rows(run_calibration_experiment, EXPERIMENT_CALIBRATION, n_values=(150,), replications=10)
+        cal = calibrate_D(UNI, 150, tc, 10, derive_seed(tc.seed, TAG_EXPERIMENT, 100))
+        assert rows == [[150, cal.D_suggested, cal.radius_null.mean, cal.radius_null.std,
+                         cal.radius_alt.mean, cal.radius_alt.std, cal.cross_mean, cal.dn]]
 
 
 class TestCsvPersistence:

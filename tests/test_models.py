@@ -109,6 +109,99 @@ class TestStepDistribution:
             assert np.all(probs.mass >= 0)
 
 
+# Hex bits of ModelSpec.attachment_probability, recorded from the release
+# that evaluated the rule per mechanism (a constant fill for uniform, the
+# shift skipped when zero). Per model: a scalar degree at t = 1 and 999,
+# then a degree array at t = 1, t = 999 and an array of times.
+ATTACHMENT_BITS = {
+    ("pa", 0.0, 1): (
+        "0x1.4000000000000p+1", "0x1.48020cd014802p-9", "0x1.0000000000000p-1", "0x1.8000000000000p+0",
+        "0x1.2800000000000p+4", "0x1.f400000000000p+8", "0x1.06680a4010668p-11", "0x1.899c0f601899cp-10",
+        "0x1.2f684bda12f68p-6", "0x1.00419a0290042p-1", "0x1.0000000000000p-1", "0x1.8000000000000p-1",
+        "0x1.2f1a9fbe76c8bp-5", "0x1.00419a0290042p-1",
+    ),
+    ("pa", 0.0, 3): (
+        "0x1.aaaaaaaaaaaabp-1", "0x1.b558111570aadp-11", "0x1.0000000000000p-1", "0x1.2aaaaaaaaaaabp+0",
+        "0x1.8aaaaaaaaaaabp+2", "0x1.4d55555555555p+7", "0x1.06680a4010668p-11", "0x1.32240bf568779p-10",
+        "0x1.948b0fcd6e9e0p-8", "0x1.55accd58c0057p-3", "0x1.0000000000000p-1", "0x1.2aaaaaaaaaaabp-1",
+        "0x1.94237fa89e60fp-7", "0x1.55accd58c0057p-3",
+    ),
+    ("uniform", 0.0, 1): (
+        "0x1.0000000000000p+0", "0x1.06680a4010668p-10", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.06680a4010668p-10", "0x1.06680a4010668p-10",
+        "0x1.06680a4010668p-10", "0x1.06680a4010668p-10", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+        "0x1.0624dd2f1a9fcp-9", "0x1.06680a4010668p-10",
+    ),
+    ("uniform", 0.0, 3): (
+        "0x1.0000000000000p+0", "0x1.06680a4010668p-10", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.06680a4010668p-10", "0x1.06680a4010668p-10",
+        "0x1.06680a4010668p-10", "0x1.06680a4010668p-10", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+        "0x1.0624dd2f1a9fcp-9", "0x1.06680a4010668p-10",
+    ),
+    ("affine-pa", 0.1, 1): (
+        "0x1.36db6db6db6dbp+1", "0x1.3ea2e7e013ea2p-9", "0x1.0c30c30c30c31p-1", "0x1.79e79e79e79e8p+0",
+        "0x1.1aaaaaaaaaaabp+4", "0x1.dc3cf3cf3cf3dp+8", "0x1.12e6e62abbd92p-11", "0x1.835ca16ac2e07p-10",
+        "0x1.21bd8b5167713p-6", "0x1.e827ed5ab3d7dp-2", "0x1.0c30c30c30c31p-1", "0x1.79e79e79e79e8p-1",
+        "0x1.21735ee402bb1p-5", "0x1.e827ed5ab3d7dp-2",
+    ),
+    ("affine-pa", 0.1, 3): (
+        "0x1.ac10c9714fbcep-1", "0x1.b6c7261f9520ep-11", "0x1.04325c53ef369p-1", "0x1.29f79b4758219p+0",
+        "0x1.853ef368eb044p+2", "0x1.47e6d1d60864cp+7", "0x1.0ab5495e7dc8cp-11", "0x1.316c8170563c9p-10",
+        "0x1.8efc9e4621549p-8", "0x1.501b7da75e731p-3", "0x1.04325c53ef369p-1", "0x1.29f79b4758219p-1",
+        "0x1.8e967a469272ep-7", "0x1.501b7da75e731p-3",
+    ),
+    ("affine-pa", 0.5, 1): (
+        "0x1.199999999999ap+1", "0x1.20a5a4e0120a6p-9", "0x1.3333333333333p-1", "0x1.6666666666666p+0",
+        "0x1.e000000000000p+3", "0x1.9033333333333p+8", "0x1.3ae33f8013ae3p-11", "0x1.6f5e74c016f5ep-10",
+        "0x1.ec0313381ec03p-7", "0x1.9a370b3959a37p-2", "0x1.3333333333333p-1", "0x1.6666666666666p-1",
+        "0x1.eb851eb851eb8p-6", "0x1.9a370b3959a37p-2",
+    ),
+    ("affine-pa", 0.5, 3): (
+        "0x1.b13b13b13b13bp-1", "0x1.bc1287801bc13p-11", "0x1.13b13b13b13b1p-1", "0x1.2762762762762p+0",
+        "0x1.713b13b13b13bp+2", "0x1.33d89d89d89d9p+7", "0x1.1a976d8011a97p-11", "0x1.2ec6d0c012ec7p-10",
+        "0x1.7a7884f017a79p-8", "0x1.3b8ccd8e93b8dp-3", "0x1.13b13b13b13b1p-1", "0x1.2762762762762p-1",
+        "0x1.7a17a17a17a18p-7", "0x1.3b8ccd8e93b8dp-3",
+    ),
+    ("affine-pa", 2.5, 1): (
+        "0x1.aaaaaaaaaaaabp+0", "0x1.b558111570aadp-10", "0x1.8e38e38e38e39p-1", "0x1.38e38e38e38e4p+0",
+        "0x1.18e38e38e38e4p+3", "0x1.bd8e38e38e38ep+7", "0x1.98300ff1e09f7p-11", "0x1.40b80c87307d4p-10",
+        "0x1.1feb0b3f2e707p-7", "0x1.c8b4a1d70e526p-3", "0x1.8e38e38e38e39p-1", "0x1.38e38e38e38e4p-1",
+        "0x1.1fa1563e59a83p-6", "0x1.c8b4a1d70e526p-3",
+    ),
+    ("affine-pa", 2.5, 3): (
+        "0x1.c3c3c3c3c3c3cp-1", "0x1.cf11f3f895699p-11", "0x1.4b4b4b4b4b4b5p-1", "0x1.1e1e1e1e1e1e2p+0",
+        "0x1.2969696969697p+2", "0x1.d7c3c3c3c3c3cp+6", "0x1.5395b2e97ea2cp-11", "0x1.25471a83d6183p-10",
+        "0x1.30dac09d403aep-8", "0x1.e39214c596b1ap-4", "0x1.4b4b4b4b4b4b5p-1", "0x1.1e1e1e1e1e1e2p-1",
+        "0x1.308cb5ab6dfd6p-7", "0x1.e39214c596b1ap-4",
+    ),
+    ("affine-pa", 1e-05, 1): (
+        "0x1.3fffc115f402fp+1", "0x1.4801cc52faa16p-9", "0x1.000053e2baa6cp-1", "0x1.7fffd60ea2acap+0",
+        "0x1.27ffa44003d9bp+4", "0x1.f3ff5c7d0e2d0p+8", "0x1.0668603c32e4dp-11", "0x1.899be462075aap-10",
+        "0x1.2f67edce4d3c7p-6", "0x1.0041463554660p-1", "0x1.000053e2baa6cp-1", "0x1.7fffd60ea2acap-1",
+        "0x1.2f1a41cac4747p-5", "0x1.0041463554660p-1",
+    ),
+    ("affine-pa", 1e-05, 3): (
+        "0x1.aaaab3fcc1712p-1", "0x1.b5581aa33db2bp-11", "0x1.00001bf644535p-1", "0x1.2aaaa6019f477p+0",
+        "0x1.8aaa868c9269dp+2", "0x1.4d55312498e6ep+7", "0x1.066826e9777e3p-11", "0x1.3224072e81f3ap-10",
+        "0x1.948aeac7f41f9p-8", "0x1.55aca84029ecep-3", "0x1.00001bf644535p-1", "0x1.2aaaa6019f477p-1",
+        "0x1.94235aac9e1e7p-7", "0x1.55aca84029ecep-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, a, m", list(ATTACHMENT_BITS))
+def test_attachment_probability_bits_are_pinned(kind, a, m):
+    model = ModelSpec(kind, m=m, a=a)
+    degrees = np.array([m, 2 * m + 1, 37, 1000])
+    cases = [(5, 1), (5, 999), (degrees, 1), (degrees, 999), (degrees, np.array([1, 2, 500, 999]))]
+    got = []
+    for d, t in cases:
+        p = model.attachment_probability(d, t)
+        assert np.shape(p) == np.broadcast_shapes(np.shape(d), np.shape(t))
+        got += [float(x).hex() for x in np.ravel(p)]
+    assert tuple(got) == ATTACHMENT_BITS[kind, a, m]
+
+
 class TestProbVector:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="negative"):
