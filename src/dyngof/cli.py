@@ -45,13 +45,15 @@ def _resolve_seed(args) -> int:
 
 def _alpha_mode(text: str):
     mode, _, value = text.partition(":")
-    if mode == "sampled":
-        return SampledAlpha(int(value)) if value else SampledAlpha()
-    if mode == "fixed":
-        if not value:
-            raise CliError("fixed alpha needs a value, e.g. fixed:12.5")
-        return FixedAlpha(radius=float(value))
-    raise CliError(f"bad alpha mode {text!r} (use sampled:<reps> or fixed:<value>)")
+    if mode == "sampled" and not value:
+        return SampledAlpha()
+    if mode == "fixed" and not value:
+        raise CliError("fixed alpha needs a value, e.g. fixed:12.5")
+    try:
+        number = {"sampled": int, "fixed": float}[mode](value)
+    except (KeyError, ValueError):
+        raise CliError(f"bad alpha mode {text!r} (use sampled:<reps> or fixed:<value>)") from None
+    return SampledAlpha(number) if mode == "sampled" else FixedAlpha(radius=number)
 
 
 def _emit(doc: dict) -> None:

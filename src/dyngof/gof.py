@@ -175,14 +175,12 @@ def block_statistics(choices: np.ndarray, cfg: TestConfig, plan_rngs: list, null
     """Row j, column k: S against nulls[j] of the stack's trajectory k, on the plan plan_rngs[k] draws.
 
     cfg gives the probe count and width at the stack's n. The K plans are one (K, M) probe_points array, which
-    each null scores in one probe_tvs_block pass; each value has test_statistic's bits.
+    one probe_tvs_block pass scores against every null; each value has test_statistic's bits.
     """
     reps, n = choices.shape[0], choices.shape[1] + 1
     probes, width = cfg.probes_for(n), cfg.width_for(n)
     points = probe_points(n, probes, width, plan_rngs)
-    return np.array(
-        [probe_sum(probe_tvs_block(choices, null, points, width)[0].reshape(reps, probes)) for null in nulls]
-    )
+    return np.array([probe_sum(tvs.reshape(reps, probes)) for tvs in probe_tvs_block(choices, nulls, points, width)[0]])
 
 
 def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, plan_rngs: list) -> np.ndarray:

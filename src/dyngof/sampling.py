@@ -156,32 +156,39 @@ def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.n
     difference arrays; K_r only from the (probe, vertex) pairs with
     lam * w_v > 1, in batches of BATCH_ELEMENTS pairs. A plan that is not
     feasible for traj raises ValueError. This is probe_tvs_block on a block
-    of one.
+    of one and a list of one null.
     """
-    return probe_tvs_block(traj.choices[None], model, plan.points[None], plan.width)
+    tvs, kept = probe_tvs_block(traj.choices[None], [model], plan.points[None], plan.width)
+    return tvs[0], kept
 
 
 def probe_tvs_block(
-    choices: np.ndarray, model: ModelSpec, points: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """probe_tvs of each trajectory with the plan (points[k], width), in one pass over the block.
+    choices: np.ndarray, nulls: list, points: np.ndarray, width: int
+) -> tuple[list, np.ndarray]:
+    """probe_tvs of each trajectory against each null with the plan (points[k], width), in one pass over the block.
 
     choices is the (K, n-1, m) stack of the K trajectories' choices, as
     models.sample_choices draws it, and gives the block's n and m; it is
-    read as valid trajectories and not checked. Row k of the (K, M) points and
-    width must be a ProbePlan's whose windows fit n, or ValueError is raised.
+    read as valid trajectories and not checked. nulls is a nonempty list of
+    models with the block's m. Row k of the (K, M) points and width must be
+    a ProbePlan's whose windows fit n, or ValueError is raised.
     models.sorted_hits orders the block's hits by replication, target and
     time, with replication k's vertex v at k*n + v and its row at k*n + row,
     so each difference array covers the K*n starts of all replications. The
     float cumsum of the hit weights, the suffix minimum h and its
-    searchsorted cut run per replication, so every probe gets the
-    bits probe_tvs gives it alone. Returns the TVs and kept counts of all
-    probes, row after row.
+    searchsorted cut run per replication, so every probe gets the bits
+    probe_tvs gives it alone. The hits, kept counts, first-hit ranges and h
+    do not depend on the null and are built once; each null adds its
+    weights, hit mass, cut and pairs. Returns a list of len(nulls) TV arrays,
+    entry j against nulls[j], and the kept counts once, each of the K*M
+    probes in block order.
     """
     if choices.ndim != 3 or 0 in choices.shape:
         raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
-    if model.m != m:
+    if not nulls:
+        raise ValueError("need at least one null model")
+    if any(null.m != m for null in nulls):
         raise ValueError("null model and trajectory disagree on edges per arrival")
     points, width = _plan_rule(width, points, 2)
     if len(points) != reps:
@@ -219,12 +226,17 @@ def probe_tvs_block(
     kept = np.bincount(np.maximum(row - width + 1, target - 1), minlength=size)
     kept = np.cumsum(kept - np.bincount(row + 1, minlength=size))[starts]
     first = np.flatnonzero(prev < row)  # all but repeats of a target within one row
-    # A first kept hit's degree before it is deg_{r-1}(v): every hit before it is in an earlier row.
-    w = model.attachment_probability(degree[first], 1)
     lo, end = np.maximum(prev, row - width)[first] + 1, row[first] + 1  # W_s ranges [lo, end)
-    del target, row, rank, degree, prev  # only first hits count from here on
-    hit_mass = np.bincount(lo, w, minlength=size) - np.bincount(end, w, minlength=size)
-    hit_mass = np.cumsum(hit_mass.reshape(reps, n), axis=1).ravel()[starts]
+    # A first kept hit's degree before it is deg_{r-1}(v): every hit before it is in an earlier row.
+    degree = degree[first]
+    del target, row, rank, prev  # only first hits count from here on
+    weights = [null.attachment_probability(degree, 1) for null in nulls]
+    del degree
+    masses = []
+    for w in weights:
+        hit_mass = np.bincount(lo, w, minlength=size) - np.bincount(end, w, minlength=size)
+        masses.append(np.cumsum(hit_mass.reshape(reps, n), axis=1).ravel()[starts])
+    del hit_mass  # a masses entry keeps the starts' sums alone
 
     # A term of K_r is nonzero only where lam * w_v > c_v >= 1, so only if
     # w_v > (s + 1) / D_s. Its suffix minimum h over a replication's starts
@@ -234,48 +246,57 @@ def probe_tvs_block(
     ratio = alive / kept
     below = np.cumsum(np.bincount(starts + 1, minlength=size))  # below[x]: starts less than x
     k0, span = below[lo], below[end]
-    del lo, end
-    start_at, first_at = np.searchsorted(starts, bounds * n), np.searchsorted(first, bounds * total)
-    for k in range(reps):
-        a, b = start_at[k], start_at[k + 1]
-        h = np.minimum.accumulate(ratio[a:b][::-1])[::-1]
-        at = slice(first_at[k], first_at[k + 1])
-        np.minimum(span[at], a + np.searchsorted(h, w[at]), out=span[at])
-    span -= k0
-    pick = np.flatnonzero(span > 0)
-    span, index, w = span[pick], first[pick], w[pick]  # index: a candidate's sorted position
-    ends = np.cumsum(span)  # candidate i owns pairs ends[i] - span[i], ..., ends[i] - 1
-    offset = ends - span - k0[pick]  # pair p of candidate i is probe p - offset[i]
-    crowded = after[index] - width
-    bound = (key[index] >> shift << shift) + width * m  # plus s*m: the key just past window s
-    del after, first, below, k0  # the pairs need only the candidates'
-    excess = np.zeros(starts.size)  # K_r
-    pairs = int(span.sum())
-    for p0 in range(0, pairs, BATCH_ELEMENTS):
-        p1 = min(p0 + BATCH_ELEMENTS, pairs)
-        # Candidates a..b own pairs p0..p1-1; i and j are each pair's candidate and probe.
-        a, b = np.searchsorted(ends, (p0, p1 - 1), "right")
-        e = ends[a : b + 1]
-        i = np.repeat(np.arange(a, b + 1), np.minimum(e, p1) - np.maximum(e - span[a : b + 1], p0))
-        j = np.arange(p0, p1) - offset[i]
-        s = starts[j]
-        term = lam[j] * w[i]
-        count = np.ones(p1 - p0)
-        # A crowded first hit counts its target's hits up to the window's end,
-        # two or more. Where term <= 2 every such count gives the term +0.0,
-        # so 2 stands in; the rest are counted.
-        crowd = crowded[i] < s
-        count[crowd] = 2.0
-        crowd = np.flatnonzero(crowd & (term > 2.0))
-        ic = i[crowd]
-        count[crowd] = np.searchsorted(key, bound[ic] + s[crowd] * m) - index[ic]
-        # Unbuffered and in pair order, so each probe adds its terms in
-        # candidate order whatever the batch size.
-        term -= count
-        np.add.at(excess, j, np.maximum(term, 0.0, out=term))
-        del i, j, s, count, crowd, ic, term  # before the next batch allocates its own
-    tv = np.clip(1.0 - hit_mass / alive + excess / kept, 0.0, 1.0)
-    return tv[inverse], kept[inverse]
+    del lo, end, below
+    start_at = np.searchsorted(starts, bounds * n).tolist()
+    first_at = np.searchsorted(first, bounds * total).tolist()
+    h = [np.minimum.accumulate(ratio[a:b][::-1])[::-1] for a, b in zip(start_at, start_at[1:])]
+    del ratio
+    candidates = []
+    while weights:
+        w = weights.pop(0)  # a null's weights of every first hit go once its candidates are picked
+        cut = span.copy() if weights else span  # the last null cuts span itself
+        for k in range(reps):
+            at = slice(first_at[k], first_at[k + 1])
+            below_h = np.searchsorted(h[k], w[at])
+            below_h += start_at[k]
+            np.minimum(span[at], below_h, out=cut[at])
+        cut -= k0
+        pick = np.flatnonzero(cut > 0)
+        cut, index, w = cut[pick], first[pick], w[pick]  # index: a candidate's sorted position
+        candidates.append((cut, index, w, k0[pick], after[index] - width))
+    del after, first, k0, span, h, pick  # the pairs need only the candidates'
+    tvs = []
+    for hit_mass, (span, index, w, k0, crowded) in zip(masses, candidates):
+        ends = np.cumsum(span)  # candidate i owns pairs ends[i] - span[i], ..., ends[i] - 1
+        offset = ends - span - k0  # pair p of candidate i is probe p - offset[i]
+        bound = (key[index] >> shift << shift) + width * m  # plus s*m: the key just past window s
+        excess = np.zeros(starts.size)  # K_r
+        pairs = int(span.sum())
+        for p0 in range(0, pairs, BATCH_ELEMENTS):
+            p1 = min(p0 + BATCH_ELEMENTS, pairs)
+            # Candidates a..b own pairs p0..p1-1; i and j are each pair's candidate and probe.
+            a, b = np.searchsorted(ends, (p0, p1 - 1), "right")
+            e = ends[a : b + 1]
+            i = np.repeat(np.arange(a, b + 1), np.minimum(e, p1) - np.maximum(e - span[a : b + 1], p0))
+            j = np.arange(p0, p1) - offset[i]
+            s = starts[j]
+            term = lam[j] * w[i]
+            count = np.ones(p1 - p0)
+            # A crowded first hit counts its target's hits up to the window's end,
+            # two or more. Where term <= 2 every such count gives the term +0.0,
+            # so 2 stands in; the rest are counted.
+            crowd = crowded[i] < s
+            count[crowd] = 2.0
+            crowd = np.flatnonzero(crowd & (term > 2.0))
+            ic = i[crowd]
+            count[crowd] = np.searchsorted(key, bound[ic] + s[crowd] * m) - index[ic]
+            # Unbuffered and in pair order, so each probe adds its terms in
+            # candidate order whatever the batch size.
+            term -= count
+            np.add.at(excess, j, np.maximum(term, 0.0, out=term))
+            del i, j, s, count, crowd, ic, term  # before the next batch allocates its own
+        tvs.append(np.clip(1.0 - hit_mass / alive + excess / kept, 0.0, 1.0)[inverse])
+    return tvs, kept[inverse]
 
 
 def tv_dense(p: ProbVector, q: ProbVector) -> float:

@@ -158,6 +158,16 @@ class TestTestCommand:
         proc = run_cli("test", str(pa_traj), "--null-model", "pa", "--D", "1",
                        "--alpha", "magic", "--seed", "3")
         assert proc.returncode == 2
+        # A value that does not parse is named with the flag's usage, as an unknown mode is.
+        commands = [("test", str(pa_traj), "--null-model", "pa", "--D", "1"),
+                    ("experiment", "--experiment", "radius-scan", "--m0", "pa", "--n-values", "40",
+                     "--out", str(pa_traj.parent / "x.csv"))]
+        for spec in ("magic", "sampled:abc", "sampled:2.5", "fixed:abc"):
+            for command in commands:
+                proc = run_cli(*command, "--alpha", spec, "--seed", "3")
+                assert proc.returncode == 2
+                assert proc.stderr == f"error: bad alpha mode {spec!r} (use sampled:<reps> or fixed:<value>)\n"
+                assert proc.stdout == ""
 
 
 class TestRadiusAndDistance:

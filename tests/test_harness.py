@@ -384,7 +384,7 @@ class TestCalibrateD:
         for i, traj_seed in enumerate(traj_seeds):
             choices = sample_choices(UNI, n, [traj_seed])
             points = probe_points(n, probes, width, [stream(s1, TAG_PROBES, i)])
-            cross.append(probe_sum(probe_tvs_block(choices, PA, points, width)[0]))
+            cross.append(probe_sum(probe_tvs_block(choices, [PA], points, width)[0][0]))
             dn += dn_summands(PA, UNI, choices)[0]
         cal = calibrate_D(UNI, n, tc, replications, seed)
         assert cal.radius_null == sampling_radius_estimate(n, tc, replications, s0)

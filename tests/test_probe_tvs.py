@@ -10,6 +10,7 @@ ORACLE_RTOL.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,12 +213,49 @@ def test_block_matches_each_replication_alone(m, case):
     count = int(draw.integers(1, 2 * n))  # a block's plans share one probe count
     plans = [block_plans(n, width, count, draw) for _ in range(reps)]
     points = np.stack([plan.points for plan in plans])
-    tvs, kept = sampling.probe_tvs_block(np.stack([t.choices for t in trajs]), null, points, width)
+    (tvs,), kept = sampling.probe_tvs_block(np.stack([t.choices for t in trajs]), [null], points, width)
     at = np.arange(reps + 1) * points.shape[1]
     for k, (traj, plan) in enumerate(zip(trajs, plans)):
         alone_tvs, alone_kept = probe_tvs(traj, null, plan)
         np.testing.assert_array_equal(bits(tvs[at[k] : at[k + 1]]), bits(alone_tvs))
         np.testing.assert_array_equal(kept[at[k] : at[k + 1]], alone_kept)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 10])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("data", range(4), ids=[model.label for model in models(1)])
+def test_each_null_row_matches_its_one_null_pass(data, m, reps):
+    # The shared pass scores every null on the hits, kept counts and cut bounds it builds once.
+    draw = np.random.default_rng([data, m, reps, 71])
+    n = int(draw.integers(4, 200))
+    width = int(draw.integers(1, n - 1))
+    m1, m0 = models(m)[data], models(m)[(data + 1) % 4]
+    choices = np.stack([sample_trajectory(m1, n, int(draw.integers(1 << 30))).choices for _ in range(reps)])
+    count = int(draw.integers(1, 2 * n))
+    points = np.stack([block_plans(n, width, count, draw).points for _ in range(reps)])
+    alone = {null: sampling.probe_tvs_block(choices, [null], points, width) for null in models(m)}
+    for nulls in ([m1, m0], [m0, m0], [models(m)[(data + 2) % 4], m1, models(m)[(data + 3) % 4]]):
+        tvs, kept = sampling.probe_tvs_block(choices, nulls, points, width)
+        assert len(tvs) == len(nulls)
+        for row, null in zip(tvs, nulls):
+            np.testing.assert_array_equal(bits(row), bits(alone[null][0][0]))
+        np.testing.assert_array_equal(kept, alone[m1][1])
+
+
+def test_second_null_adds_little_memory():
+    # Each null's full-length weights and cut go once its candidates are picked, so a second null holds only
+    # the first's candidates and its probe row, not the null-free layer twice.
+    n, null = 20_000, pref_attach()
+    cfg = TestConfig(null_model=null, D=1.0)
+    choices = np.stack([sample_trajectory(null, n, seed=3).choices])
+    points = sampling.probe_points(n, cfg.probes_for(n), cfg.width_for(n), [np.random.default_rng(3)])
+    peaks = []
+    for nulls in ([null], [null, uniform_attach()]):
+        tracemalloc.start()
+        sampling.probe_tvs_block(choices, nulls, points, cfg.width_for(n))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.10 * peaks[0]
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64, 4096, 10**6])
@@ -248,10 +286,12 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
     ("3-D", "points: expected 2-D"),
     ("huge", "infeasible plan: windows must fit"),  # r + width would wrap to a negative int64
     ("uint64", "infeasible plan: probe points must be sorted"),  # 2**63 casts to -2**63
+    ("no-nulls", "need at least one null model"),
+    ("null-m", "disagree on edges per arrival"),  # the second null's m is not the block's
 ])
 def test_block_contract_is_checked(case, message):
     trajs = [sample_trajectory(pref_attach(), 200, seed) for seed in (1, 2)]
-    points, width = np.array([[50, 120], [50, 120]]), 20
+    points, width, nulls = np.array([[50, 120], [50, 120]]), 20, [pref_attach()]
     if case == "m":
         trajs = [sample_trajectory(pref_attach(2), 200, seed) for seed in (1, 2)]
     elif case == "infeasible":
@@ -276,11 +316,15 @@ def test_block_contract_is_checked(case, message):
         points[1] = [50, 2**63 - 5]
     elif case == "uint64":
         points = np.array([[50, 120], [50, 2**63]], dtype=np.uint64)
+    elif case == "no-nulls":
+        nulls = []
+    elif case == "null-m":
+        nulls = [pref_attach(), uniform_attach(2)]
     choices = np.stack([t.choices for t in trajs])
     if case == "n":
         choices = choices[0]  # one trajectory's (n-1, m) array, not a stack
     with pytest.raises(ValueError, match=message):
-        sampling.probe_tvs_block(choices, pref_attach(), points, width)
+        sampling.probe_tvs_block(choices, nulls, points, width)
 
 
 def malformed(plan, n, draw):
@@ -317,7 +361,7 @@ def test_fuzzed_plans_are_checked_by_one_rule(case):
     for _ in range(10):
         width = int(draw.integers(1, n - 1))
         plans = [sample_probe_points(n, 3, width, draw) for _ in trajs]
-        tvs, kept = sampling.probe_tvs_block(choices, pref_attach(), np.stack([p.points for p in plans]), width)
+        (tvs,), kept = sampling.probe_tvs_block(choices, [pref_attach()], np.stack([p.points for p in plans]), width)
         for k, (traj, plan) in enumerate(zip(trajs, plans)):
             alone_tvs, alone_kept = probe_tvs(traj, pref_attach(), plan)
             np.testing.assert_array_equal(bits(tvs[3 * k : 3 * k + 3]), bits(alone_tvs))
@@ -325,7 +369,7 @@ def test_fuzzed_plans_are_checked_by_one_rule(case):
 
         row, width, what = malformed(plans[0], n, draw)
         with pytest.raises(ValueError) as in_kernel:
-            sampling.probe_tvs_block(choices[:1], pref_attach(), [row], width)
+            sampling.probe_tvs_block(choices[:1], [pref_attach()], [row], width)
         if what == "horizon":
             assert str(in_kernel.value) == "infeasible plan: windows must fit the trajectory"
             ProbePlan(row, width)
