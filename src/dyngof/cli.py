@@ -162,9 +162,7 @@ def _cmd_test(args) -> int:
 def _cmd_radius(args) -> int:
     model = _model_from_flags(args.model, args.m, args.a)
     seed = _resolve_seed(args)
-    cfg = TestConfig(
-        null_model=model, D=1.0, width_fraction=args.width_fraction, probe_fraction=args.probe_fraction
-    )
+    cfg = TestConfig(null_model=model, width_fraction=args.width_fraction, probe_fraction=args.probe_fraction)
     est = sampling_radius_estimate(args.n, cfg, args.replications, seed)
     _emit({"mean": est.mean, "std": est.std, "replications": args.replications,
            "n": args.n, "M": cfg.probes_for(args.n), "C": cfg.width_for(args.n), "seed": seed})
@@ -190,9 +188,9 @@ def _cmd_experiment(args) -> int:
             raise CliError(f"config file {args.config} must hold a JSON object")
     # Flags override file values; each flag of the loop below is named after its config key.
     if args.m0:
-        base["null_model"] = harness.model_to_dict(_model_from_flags(args.m0, args.m, args.a))
+        base["null_model"] = harness.config_to_dict(_model_from_flags(args.m0, args.m, args.a))
     if args.m1:
-        base["alt_model"] = harness.model_to_dict(_model_from_flags(args.m1, args.m, args.a))
+        base["alt_model"] = harness.config_to_dict(_model_from_flags(args.m1, args.m, args.a))
     if args.n_values:
         base["n_values"] = [int(tok) for tok in args.n_values.split(",") if tok]
     if args.out:
@@ -205,7 +203,7 @@ def _cmd_experiment(args) -> int:
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
     if args.alpha:
-        tc["alpha_mode"] = harness.alpha_mode_to_dict(_alpha_mode(args.alpha))
+        tc["alpha_mode"] = harness.config_to_dict(_alpha_mode(args.alpha))
     if args.seed is not None:
         tc["seed"] = args.seed
     elif "seed" not in tc:
@@ -216,7 +214,7 @@ def _cmd_experiment(args) -> int:
         raise CliError("no null model given (flag --m0 or config file)")
     if "n_values" not in base:
         raise CliError("no n values given (flag --n-values or config file)")
-    cfg = harness.experiment_config_from_dict(base)
+    cfg = harness.config_from_dict(harness.ExperimentConfig, base)
     if args.config and cfg.output_path:
         written = {os.path.realpath(p) for p in (cfg.output_path, harness.manifest_path(cfg.output_path))}
         if os.path.realpath(args.config) in written:

@@ -57,7 +57,7 @@ class TestConfig:
     """
 
     null_model: ModelSpec
-    D: float
+    D: float = 1.0
     width_fraction: float = 0.1
     probe_fraction: float = 0.5
     alpha_mode: SampledAlpha | FixedAlpha = SampledAlpha()
@@ -290,13 +290,12 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
         raise ValueError("need at least one replication")
     if m0.m != m1.m:
         raise ValueError("models disagree on edges per arrival")
-    total = 0.0
+    summands = []
     seeds = [derive_seed(seed, TAG_DISTANCE, i) for i in range(replications)]
     for _, choices in replication_blocks(m1, n, seeds):
-        for value in dn_summands(m0, m1, choices):
-            total += value
+        summands += dn_summands(m0, m1, choices)
         del choices
-    return total / replications
+    return float(probe_sum(np.array(summands))) / replications
 
 
 def test_dynamic_graph(traj: Trajectory, cfg: TestConfig) -> TestReport:

@@ -8,9 +8,11 @@ the full configuration, so any output file can be regenerated bit-for-bit.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -54,19 +56,21 @@ class Table(NamedTuple):
     rows: list[list]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     experiment: str
     null_model: ModelSpec
-    alt_model: ModelSpec | None
+    alt_model: ModelSpec | None = None
     n_values: tuple[int, ...]
-    replications: int
+    replications: int = 32
     test_config: TestConfig
     output_path: str = ""
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if isinstance(self.n_values, (str, bytes)) or not isinstance(self.n_values, Iterable):
+            raise ValueError(f"n_values: expected a list of integers, got {self.n_values!r}")
         object.__setattr__(self, "n_values", tuple(_integer("n_values", n) for n in self.n_values))
         object.__setattr__(self, "replications", _integer("replications", self.replications))
         if not self.n_values:
@@ -320,115 +324,65 @@ def read_csv(path: str) -> Table:
     return Table(header, rows)
 
 
-def model_to_dict(model: ModelSpec) -> dict:
-    return {"kind": model.kind, "m": model.m, "a": model.a, "label": model.label}
+# The fields that hold a config object, with its class; an alpha mode's dict leads with the "mode" that names its class.
+_ALPHA_MODES = {"sampled": SampledAlpha, "fixed": FixedAlpha}
+_SUB_OBJECTS = {"null_model": ModelSpec, "alt_model": ModelSpec, "test_config": TestConfig, "alpha_mode": _ALPHA_MODES}
+# How errors name a config read alone; inside an experiment config, an object is named by its field path.
+_NAMES = {ExperimentConfig: "experiment config", TestConfig: "test_config", ModelSpec: "model"}
 
 
-def model_from_dict(d: dict) -> ModelSpec:
-    """A missing m is 1 and a missing a 0.0; a missing, unknown or wrongly typed field raises ValueError."""
-    return _parse("model", _model, d, model_to_dict)
+@functools.cache
+def _init_fields(cls) -> tuple:
+    return tuple(f for f in fields(cls) if f.init)
 
 
-def _model(d: dict) -> ModelSpec:
-    return ModelSpec(kind=d["kind"], m=d.get("m", 1), a=d.get("a", 0.0), label=d.get("label", ""))
+def config_to_dict(obj) -> dict:
+    """obj's init fields in declaration order, config objects as dicts, tuples as lists; an alpha mode's mode first."""
+    d = {"mode": mode for mode, cls in _ALPHA_MODES.items() if type(obj) is cls}
+    for f in _init_fields(type(obj)):
+        value = getattr(obj, f.name)
+        if f.name in _SUB_OBJECTS and value is not None:
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        d[f.name] = value
+    return d
 
 
-def alpha_mode_to_dict(mode: SampledAlpha | FixedAlpha) -> dict:
-    if isinstance(mode, FixedAlpha):
-        return {"mode": "fixed", "radius": mode.radius}
-    return {"mode": "sampled", "replications": mode.replications}
+def config_from_dict(cls, d: dict):
+    """The cls (ModelSpec, TestConfig or ExperimentConfig) that d, in config_to_dict's form, describes.
+
+    A left-out field takes its dataclass's default, and a null one whose default is None (alt_model) is None; a
+    non-dict d and a field missing, unknown or wrongly typed raise ValueError naming where they are."""
+    return _from_dict(cls, d, _NAMES[cls])
 
 
-def test_config_to_dict(tc: TestConfig) -> dict:
-    return {
-        "null_model": model_to_dict(tc.null_model),
-        "D": tc.D,
-        "width_fraction": tc.width_fraction,
-        "probe_fraction": tc.probe_fraction,
-        "alpha_mode": alpha_mode_to_dict(tc.alpha_mode),
-        "seed": tc.seed,
-    }
-
-
-def _alpha_mode_from_dict(d: dict) -> SampledAlpha | FixedAlpha:
-    if d["mode"] == "fixed":
-        return FixedAlpha(radius=d["radius"])
-    if d["mode"] == "sampled":
-        return SampledAlpha(d.get("replications", SampledAlpha.replications))
-    raise ValueError(f"unknown alpha mode {d['mode']!r} (use 'sampled' or 'fixed')")
-
-
-def _parse(where: str, parse, d: dict, to_dict):
-    """parse(d); a non-dict d and a key missing, mistyped or not in to_dict(value) raise ValueError naming where."""
+def _from_dict(cls, d: dict, where: str):
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    if cls is ExperimentConfig and isinstance(d.get("test_config"), dict) and "null_model" in d:
+        # test_config may leave out its null model: ExperimentConfig gives it the experiment's.
+        d = {**d, "test_config": {"null_model": d["null_model"], **d["test_config"]}}
     try:
-        value = parse(d)
+        if cls is _ALPHA_MODES:
+            cls = _ALPHA_MODES.get(d["mode"]) if isinstance(d["mode"], str) else None
+            if cls is None:
+                raise ValueError(f"unknown alpha mode {d['mode']!r} (use 'sampled' or 'fixed')")
+        kwargs = {}
+        for f in _init_fields(cls):
+            if f.name in d or f.default is MISSING:  # a required field left out raises KeyError
+                value = d[f.name]
+                if f.name in _SUB_OBJECTS and not (value is None and f.default is None):
+                    path = f.name if cls is ExperimentConfig else f"{where}.{f.name}"
+                    value = _from_dict(_SUB_OBJECTS[f.name], value, path)
+                kwargs[f.name] = value
+        obj = cls(**kwargs)
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r} in {where}") from None
-    except TypeError as exc:
-        raise ValueError(f"bad {where}: {exc}") from exc
-    unknown = d.keys() - to_dict(value)
+    unknown = d.keys() - config_to_dict(obj)
     if unknown:
         raise ValueError(f"unknown field {min(unknown)!r} in {where}")
-    return value
-
-
-def test_config_from_dict(d: dict) -> TestConfig:
-    """A missing D is 1.0, and any other missing optional field takes TestConfig's default.
-
-    A missing, unknown or wrongly typed field raises ValueError.
-    """
-    return _parse("test_config", _test_config, d, test_config_to_dict)
-
-
-def _test_config(d: dict) -> TestConfig:
-    return TestConfig(
-        null_model=_parse("test_config.null_model", _model, d["null_model"], model_to_dict),
-        D=d.get("D", 1.0),
-        width_fraction=d.get("width_fraction", TestConfig.width_fraction),
-        probe_fraction=d.get("probe_fraction", TestConfig.probe_fraction),
-        alpha_mode=_parse("test_config.alpha_mode", _alpha_mode_from_dict,
-                          d.get("alpha_mode", {"mode": "sampled"}), alpha_mode_to_dict),
-        seed=d.get("seed", TestConfig.seed),
-    )
-
-
-def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "null_model": model_to_dict(cfg.null_model),
-        "alt_model": model_to_dict(cfg.alt_model) if cfg.alt_model is not None else None,
-        "n_values": list(cfg.n_values),
-        "replications": cfg.replications,
-        "test_config": test_config_to_dict(cfg.test_config),
-        "output_path": cfg.output_path,
-    }
-
-
-def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    """Build the config from its dict form; a missing, unknown or wrongly typed field raises ValueError.
-
-    ExperimentConfig tests against the top-level null model, so test_config may leave
-    its null_model out; replications defaults to 32; a missing or null alt_model means none.
-    """
-    return _parse("experiment config", _experiment_config, d, experiment_config_to_dict)
-
-
-def _experiment_config(d: dict) -> ExperimentConfig:
-    tc = d.get("test_config")
-    if isinstance(tc, dict) and "null_model" in d:
-        d = {**d, "test_config": {"null_model": d["null_model"], **tc}}
-    alt = d.get("alt_model")
-    return ExperimentConfig(
-        experiment=d["experiment"],
-        null_model=_parse("null_model", _model, d["null_model"], model_to_dict),
-        alt_model=_parse("alt_model", _model, alt, model_to_dict) if alt is not None else None,
-        n_values=tuple(d["n_values"]),
-        replications=d.get("replications", 32),
-        test_config=test_config_from_dict(d["test_config"]),
-        output_path=d.get("output_path", ""),
-    )
+    return obj
 
 
 class ExperimentResult(NamedTuple):
@@ -459,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     write_csv(csv_path, table)
     json_path = manifest_path(csv_path)
     manifest = {
-        "experiment_config": experiment_config_to_dict(cfg),
+        "experiment_config": config_to_dict(cfg),
         "seed": cfg.test_config.seed,
         "csv": os.path.basename(csv_path),
     }

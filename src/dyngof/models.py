@@ -64,7 +64,7 @@ class ModelSpec:
     shift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _AFFINE_RULE:
+        if _string("kind", self.kind) not in _AFFINE_RULE:
             raise ValueError(f"unknown model kind {self.kind!r}")
         object.__setattr__(self, "m", _check_edges(self.m))
         object.__setattr__(self, "a", _real("a", self.a))
@@ -72,7 +72,7 @@ class ModelSpec:
             raise ValueError("a must be finite and nonnegative")
         if self.kind != KIND_AFFINE and self.a != 0.0:
             raise ValueError("a is only meaningful for affine-pa")
-        if not self.label or isinstance(self.label, _DerivedLabel):
+        if not _string("label", self.label) or isinstance(self.label, _DerivedLabel):
             object.__setattr__(self, "label", _DerivedLabel(self._default_label()))
         _check_label(self.label)
         beta, base_shift = _AFFINE_RULE[self.kind]
@@ -111,6 +111,13 @@ def _real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: expected a number, got {value!r}")
     return float(value)
+
+
+def _string(name: str, value) -> str:
+    """value unchanged; anything but a str raises ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, got {value!r}")
+    return value
 
 
 def _check_edges(m: int) -> int:

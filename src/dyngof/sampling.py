@@ -186,6 +186,8 @@ def probe_tvs_block(
     if choices.ndim != 3 or 0 in choices.shape:
         raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    if not isinstance(nulls, (list, tuple)) or not all(isinstance(null, ModelSpec) for null in nulls):
+        raise ValueError(f"nulls must be a list of models, got {nulls!r}")
     if not nulls:
         raise ValueError("need at least one null model")
     if any(null.m != m for null in nulls):

@@ -292,8 +292,8 @@ class TestExperimentCommand:
         proc = run_cli("experiment", "--config", str(cfg_path))
         assert proc.returncode == 0, proc.stderr
         recorded = json.loads((tmp_path / "x.json").read_text())["experiment_config"]
-        library = harness.experiment_config_from_dict(config)
-        assert recorded == harness.experiment_config_to_dict(library)
+        library = harness.config_from_dict(harness.ExperimentConfig, config)
+        assert recorded == harness.config_to_dict(library)
         assert (library.replications, library.test_config.D) == (
             32 if "replications" in left_out else 3, 1.0 if "D" in left_out else 7.0
         )
@@ -330,9 +330,14 @@ class TestExperimentCommand:
         {"alt_model": {"kind": "uniform", "m": 2}},
         {"null_model": {"kind": "affine-pa", "a": True}},
         {"test_config": {"seed": 4, "D": "30"}},
+        {"null_model": {"kind": "pa", "label": ["x"]}},
+        {"null_model": {"kind": "pa", "label": 5}},
+        {"null_model": {"kind": ["pa"]}},
+        {"n_values": "40"},
     ], ids=["not-object", "replications-null", "m-string", "test-config-list", "n-values-float",
             "n-values-string", "replications-float", "replications-string", "seed-float",
-            "alpha-replications-float", "m-float", "alpha-mode-unknown", "alt-m-mismatch", "a-bool", "D-string"])
+            "alpha-replications-float", "m-float", "alpha-mode-unknown", "alt-m-mismatch", "a-bool", "D-string",
+            "label-list", "label-int", "kind-list", "n-values-not-a-list"])
     def test_bad_config_type_is_usage_error(self, tmp_path, config):
         if isinstance(config, dict):
             config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},

@@ -1,7 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -29,11 +30,9 @@ from dyngof.harness import (
     Table,
     TailDiagnostic,
     calibrate_D,
-    experiment_config_from_dict,
-    experiment_config_to_dict,
+    config_from_dict,
+    config_to_dict,
     manifest_path,
-    model_from_dict,
-    model_to_dict,
     read_csv,
     run_calibration_experiment,
     run_concentration_experiment,
@@ -44,9 +43,8 @@ from dyngof.harness import (
     tail_exponent_diagnostic,
     write_csv,
 )
-from dyngof.harness import test_config_from_dict as config_from_dict  # renamed: not a test case
-from dyngof.harness import test_config_to_dict as config_to_dict
 from dyngof.models import (
+    ModelSpec,
     affine_pref_attach,
     pref_attach,
     replay,
@@ -128,7 +126,7 @@ class TestExperimentConfig:
 
     def test_round_trips_through_dict(self):
         cfg = base_config(EXPERIMENT_SUCCESS, alpha_mode=SampledAlpha(8))
-        assert experiment_config_from_dict(experiment_config_to_dict(cfg)) == cfg
+        assert config_from_dict(ExperimentConfig, config_to_dict(cfg)) == cfg
 
     @pytest.mark.parametrize("field", [
         {"seed": 4.9}, {"seed": "4"}, {"seed": True},
@@ -137,7 +135,7 @@ class TestExperimentConfig:
     ], ids=str)
     def test_test_config_rejects_non_integer_fields(self, field):
         with pytest.raises(ValueError, match="expected an integer"):
-            config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0, **field})
+            config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "D": 1.0, **field})
 
     @pytest.mark.parametrize("field, name", [
         ({"D": True}, "D"), ({"D": "30"}, "D"), ({"D": None}, "D"),
@@ -149,33 +147,47 @@ class TestExperimentConfig:
     ], ids=str)
     def test_test_config_rejects_non_real_fields(self, field, name):
         with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
-            config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0, **field})
+            config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "D": 1.0, **field})
 
     def test_real_fields_are_stored_as_floats(self):
-        tc = config_from_dict({"null_model": {"kind": "affine-pa", "a": 1}, "D": 30, "width_fraction": 0.25,
-                               "alpha_mode": {"mode": "fixed", "radius": 5}})
+        tc = config_from_dict(TestConfig, {"null_model": {"kind": "affine-pa", "a": 1}, "D": 30,
+                                           "width_fraction": 0.25, "alpha_mode": {"mode": "fixed", "radius": 5}})
         assert tc == TestConfig(null_model=affine_pref_attach(1.0), D=30.0, width_fraction=0.25,
                                 alpha_mode=FixedAlpha(5.0))
         reals = (tc.null_model.a, tc.D, tc.width_fraction, tc.probe_fraction, tc.alpha_mode.radius)
         assert all(type(value) is float for value in reals)
         assert json.dumps(config_to_dict(tc)["null_model"]["a"]) == "1.0"  # a JSON integer a is written back as 1.0
         with pytest.raises(ValueError, match="^a: expected a number, got True$"):
-            model_from_dict({"kind": "affine-pa", "a": True})
+            config_from_dict(ModelSpec, {"kind": "affine-pa", "a": True})
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("label", ["x"], "label: expected a string, got ['x']"),
+        ("label", 5, "label: expected a string, got 5"),
+        ("kind", ["pa"], "kind: expected a string, got ['pa']"),
+        ("n_values", "40", "n_values: expected a list of integers, got '40'"),
+        ("n_values", 40, "n_values: expected a list of integers, got 40"),
+    ], ids=["label-list", "label-int", "kind-list", "n-values-string", "n-values-int"])
+    def test_non_string_model_fields_and_non_list_n_values_are_named(self, where, value, message):
+        d = config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        (d if where == "n_values" else d["null_model"])[where] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(ExperimentConfig, d)
 
     def test_test_config_defaults_are_test_config_defaults(self):
-        assert config_from_dict({"null_model": {"kind": "pa"}, "D": 1.0}) == TestConfig(null_model=PA, D=1.0)
+        assert config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "D": 1.0}) == TestConfig(
+            null_model=PA, D=1.0)
 
     @pytest.mark.parametrize("field", ["null_model", "alt_model", "test_config"])
     def test_sub_object_of_wrong_type_is_named(self, field):
-        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        d = config_to_dict(base_config(EXPERIMENT_SUCCESS))
         d[field] = "pa"
         with pytest.raises(ValueError, match=f"^{field} must be a JSON object, got str$"):
-            experiment_config_from_dict(d)
+            config_from_dict(ExperimentConfig, d)
 
     @pytest.mark.parametrize("alpha_mode", [SampledAlpha(8), FixedAlpha(5.0)], ids=str)
     def test_every_written_key_reads_back_and_no_other(self, alpha_mode):
-        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS, alpha_mode=alpha_mode))
-        assert experiment_config_from_dict(json.loads(json.dumps(d))) == base_config(
+        d = config_to_dict(base_config(EXPERIMENT_SUCCESS, alpha_mode=alpha_mode))
+        assert config_from_dict(ExperimentConfig, json.loads(json.dumps(d))) == base_config(
             EXPERIMENT_SUCCESS, alpha_mode=alpha_mode
         )
         objects = {"experiment config": d, "null_model": d["null_model"], "alt_model": d["alt_model"],
@@ -184,44 +196,44 @@ class TestExperimentConfig:
         for where, obj in objects.items():
             obj["comment"] = "x"
             with pytest.raises(ValueError, match=f"^unknown field 'comment' in {where}$"):
-                experiment_config_from_dict(d)
+                config_from_dict(ExperimentConfig, d)
             del obj["comment"]
 
     @pytest.mark.parametrize("alpha_mode", [SampledAlpha(8), FixedAlpha(5.0)], ids=str)
     def test_parsers_called_alone_reject_unknown_keys(self, alpha_mode):
         tc = config_to_dict(base_config(EXPERIMENT_SUCCESS, alpha_mode=alpha_mode).test_config)
-        assert config_from_dict(json.loads(json.dumps(tc))) == base_config(
+        assert config_from_dict(TestConfig, json.loads(json.dumps(tc))) == base_config(
             EXPERIMENT_SUCCESS, alpha_mode=alpha_mode).test_config
-        assert model_from_dict(model_to_dict(PA)) == PA
+        assert config_from_dict(ModelSpec, config_to_dict(PA)) == PA
         for where, obj in {"test_config": tc, "test_config.null_model": tc["null_model"],
                            "test_config.alpha_mode": tc["alpha_mode"]}.items():
             obj["comment"] = "x"
             with pytest.raises(ValueError, match=f"^unknown field 'comment' in {where}$"):
-                config_from_dict(tc)
+                config_from_dict(TestConfig, tc)
             del obj["comment"]
         with pytest.raises(ValueError, match="^unknown field 'comment' in test_config$"):
-            config_from_dict({"null_model": {"kind": "pa"}, "comment": "x"})
+            config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "comment": "x"})
         with pytest.raises(ValueError, match="^unknown field 'mm' in model$"):
-            model_from_dict({"kind": "pa", "mm": 3})
+            config_from_dict(ModelSpec, {"kind": "pa", "mm": 3})
         with pytest.raises(ValueError, match="^missing field 'kind' in model$"):
-            model_from_dict({"m": 3})
+            config_from_dict(ModelSpec, {"m": 3})
 
     def test_fixed_alpha_round_trips(self):
         cfg = base_config(EXPERIMENT_CONCENTRATION, replications=12)
-        assert experiment_config_from_dict(experiment_config_to_dict(cfg)) == cfg
+        assert config_from_dict(ExperimentConfig, config_to_dict(cfg)) == cfg
 
     def test_test_config_may_leave_out_the_null_model(self):
         # The run tests against the top-level null model, so the file need not repeat it.
-        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        d = config_to_dict(base_config(EXPERIMENT_SUCCESS))
         del d["test_config"]["null_model"]
-        assert experiment_config_from_dict(d) == base_config(EXPERIMENT_SUCCESS)
+        assert config_from_dict(ExperimentConfig, d) == base_config(EXPERIMENT_SUCCESS)
         assert "null_model" not in d["test_config"]  # the caller's dict is left as it was
 
     def test_test_config_null_model_is_still_checked(self):
-        d = experiment_config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        d = config_to_dict(base_config(EXPERIMENT_SUCCESS))
         d["test_config"]["null_model"] = 3
         with pytest.raises(ValueError, match="^test_config.null_model must be a JSON object, got int$"):
-            experiment_config_from_dict(d)
+            config_from_dict(ExperimentConfig, d)
 
     @pytest.mark.parametrize("alt, message", [
         ({}, "missing field 'kind' in alt_model"),
@@ -231,14 +243,14 @@ class TestExperimentConfig:
         ([], "alt_model must be a JSON object, got list"),
     ], ids=["empty-object", "false", "zero", "empty-string", "empty-list"])
     def test_only_a_missing_or_null_alt_model_means_none(self, alt, message):
-        d = experiment_config_to_dict(base_config(EXPERIMENT_CONCENTRATION, replications=12))
+        d = config_to_dict(base_config(EXPERIMENT_CONCENTRATION, replications=12))
         d["alt_model"] = alt
         with pytest.raises(ValueError, match=f"^{message}$"):
-            experiment_config_from_dict(d)
+            config_from_dict(ExperimentConfig, d)
         d["alt_model"] = None
-        assert experiment_config_from_dict(d).alt_model is None
+        assert config_from_dict(ExperimentConfig, d).alt_model is None
         del d["alt_model"]
-        assert experiment_config_from_dict(d).alt_model is None
+        assert config_from_dict(ExperimentConfig, d).alt_model is None
 
     @pytest.mark.parametrize("path, kind", [(1, "int"), (True, "bool"), (None, "NoneType"), (b"x.csv", "bytes")])
     def test_output_path_must_be_a_string(self, path, kind):
@@ -257,6 +269,62 @@ class TestExperimentConfig:
     ])
     def test_manifest_path(self, path, manifest):
         assert manifest_path(path) == manifest
+
+
+# One instance of each config class with every defaulted field at its default, and for every init field a
+# value other than the instance's. A field added to a class without an entry here fails the tests below.
+CODEC_BASES = {
+    ModelSpec: ModelSpec("affine-pa"),
+    SampledAlpha: SampledAlpha(),
+    FixedAlpha: FixedAlpha(1.0),
+    TestConfig: TestConfig(null_model=PA),
+    ExperimentConfig: ExperimentConfig(experiment=EXPERIMENT_RADIUS_SCAN, null_model=PA, n_values=(40,),
+                                       test_config=TestConfig(null_model=PA)),
+}
+CODEC_VALUES = {
+    ModelSpec: {"kind": "uniform", "m": 3, "a": 2.5, "label": "mine"},
+    SampledAlpha: {"replications": 9},
+    FixedAlpha: {"radius": 2.5},
+    TestConfig: {"null_model": UNI, "D": 7.5, "width_fraction": 0.3, "probe_fraction": 0.25,
+                 "alpha_mode": FixedAlpha(4.0), "seed": 11},
+    ExperimentConfig: {"experiment": EXPERIMENT_CONCENTRATION, "null_model": UNI, "alt_model": UNI,
+                       "n_values": (40, 80), "replications": 12,
+                       "test_config": TestConfig(null_model=PA, D=3.0, seed=5), "output_path": "run.csv"},
+}
+
+
+def codec_round_trip(obj):
+    """obj through config_to_dict, JSON text and config_from_dict; an alpha mode inside a test config."""
+    if isinstance(obj, (SampledAlpha, FixedAlpha)):
+        return codec_round_trip(TestConfig(null_model=PA, alpha_mode=obj)).alpha_mode
+    return config_from_dict(type(obj), json.loads(json.dumps(config_to_dict(obj))))
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize("cls", list(CODEC_BASES), ids=lambda cls: cls.__name__)
+    def test_writes_exactly_the_init_fields_in_order(self, cls):
+        names = [f.name for f in fields(cls) if f.init]
+        tag = ["mode"] if cls in (SampledAlpha, FixedAlpha) else []
+        assert list(config_to_dict(CODEC_BASES[cls])) == tag + names
+        assert sorted(CODEC_VALUES[cls]) == sorted(names)
+
+    @pytest.mark.parametrize("cls, name", [(cls, name) for cls in CODEC_VALUES for name in CODEC_VALUES[cls]],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_every_field_survives_the_round_trip(self, cls, name):
+        base = CODEC_BASES[cls]
+        obj = replace(base, **{name: CODEC_VALUES[cls][name]})
+        assert getattr(obj, name) != getattr(base, name)
+        back = codec_round_trip(obj)
+        assert back == obj and getattr(back, name) == getattr(obj, name)  # a label does not take part in ==
+
+    @pytest.mark.parametrize("cls", [ModelSpec, TestConfig, ExperimentConfig], ids=lambda cls: cls.__name__)
+    def test_a_left_out_field_takes_the_dataclass_default(self, cls):
+        base = CODEC_BASES[cls]
+        for f in fields(cls):
+            if f.init and f.default is not MISSING:
+                d = config_to_dict(base)
+                del d[f.name]
+                assert config_from_dict(cls, d) == base, f.name
 
 
 class TestSuccessExperiment:
@@ -479,7 +547,7 @@ class TestCsvPersistence:
         assert read_csv(result.csv_path) == result.table
         manifest = json.loads((tmp_path / "scan.json").read_text())
         assert manifest["seed"] == cfg.test_config.seed
-        assert experiment_config_from_dict(manifest["experiment_config"]) == cfg
+        assert config_from_dict(ExperimentConfig, manifest["experiment_config"]) == cfg
 
     def test_explicit_output_reruns_identically(self, tmp_path):
         out = tmp_path / "out.csv"

@@ -288,6 +288,9 @@ def test_block_and_batch_budget_do_not_change_bits(budget, model, monkeypatch):
     ("uint64", "infeasible plan: probe points must be sorted"),  # 2**63 casts to -2**63
     ("no-nulls", "need at least one null model"),
     ("null-m", "disagree on edges per arrival"),  # the second null's m is not the block's
+    ("bare-model", "^nulls must be a list of models, got ModelSpec"),
+    ("string-null", "^nulls must be a list of models, got 'pa'$"),
+    ("string-in-nulls", r"^nulls must be a list of models, got \('x',\)$"),
 ])
 def test_block_contract_is_checked(case, message):
     trajs = [sample_trajectory(pref_attach(), 200, seed) for seed in (1, 2)]
@@ -320,6 +323,12 @@ def test_block_contract_is_checked(case, message):
         nulls = []
     elif case == "null-m":
         nulls = [pref_attach(), uniform_attach(2)]
+    elif case == "bare-model":
+        nulls = pref_attach()
+    elif case == "string-null":
+        nulls = "pa"
+    elif case == "string-in-nulls":
+        nulls = ("x",)
     choices = np.stack([t.choices for t in trajs])
     if case == "n":
         choices = choices[0]  # one trajectory's (n-1, m) array, not a stack

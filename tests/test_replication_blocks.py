@@ -239,7 +239,8 @@ def test_dn_estimate_bits_unchanged(case, seed):
 def test_success_experiment_bits_unchanged(case, mode, seed):
     null, alt = SUCCESS_CASES[case]
     tc = TestConfig(null_model=null, D=12.0, alpha_mode=SUCCESS_ALPHA[mode], seed=seed)
-    rows = run_success_experiment(ExperimentConfig("success-rate", null, alt, (40, 150), 6, tc)).rows
+    rows = run_success_experiment(ExperimentConfig(experiment="success-rate", null_model=null, alt_model=alt,
+                                                   n_values=(40, 150), replications=6, test_config=tc)).rows
     got = tuple(tuple(v if isinstance(v, int) else float(v).hex() for v in row) for row in rows)
     assert got == GOLDEN_SUCCESS[case, mode, seed]
 
