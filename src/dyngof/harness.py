@@ -39,7 +39,6 @@ from .rng import TAG_EXPERIMENT, TAG_PROBES, TAG_TAIL, derive_seed, stream
 EXPERIMENT_SUCCESS = "success-rate"
 EXPERIMENT_CONCENTRATION = "concentration"
 EXPERIMENT_TAIL = "tail-exponent"
-EXPERIMENT_RADIUS_SCAN = "radius-scan"
 EXPERIMENT_CALIBRATION = "calibration"
 
 EXCEEDANCE_LEVELS = (0.01, 0.02, 0.05)
@@ -259,16 +258,6 @@ def run_tail_experiment(cfg: ExperimentConfig) -> Table:
     return Table(header, rows)
 
 
-def run_radius_scan(cfg: ExperimentConfig) -> Table:
-    tc = cfg.test_config
-    header = ["n", "radius_mean", "radius_std", "replications"]
-    rows = []
-    for k, n in enumerate(cfg.n_values):
-        est = sampling_radius_estimate(n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, k))
-        rows.append([n, est.mean, est.std, cfg.replications])
-    return Table(header, rows)
-
-
 def run_calibration_experiment(cfg: ExperimentConfig) -> Table:
     if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
         raise ValueError("degenerate config: alternative must differ from the null model")
@@ -289,7 +278,6 @@ _RUNNERS = {
     EXPERIMENT_SUCCESS: run_success_experiment,
     EXPERIMENT_CONCENTRATION: run_concentration_experiment,
     EXPERIMENT_TAIL: run_tail_experiment,
-    EXPERIMENT_RADIUS_SCAN: run_radius_scan,
     EXPERIMENT_CALIBRATION: run_calibration_experiment,
 }
 EXPERIMENTS = tuple(_RUNNERS)

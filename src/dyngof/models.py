@@ -107,10 +107,13 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    """value as a float; a bool, string or other non-real raises ValueError rather than converting."""
+    """value as a float; a bool, string, other non-real or value past float range raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected a number within float range") from None
 
 
 def _string(name: str, value) -> str:

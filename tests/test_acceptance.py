@@ -197,8 +197,8 @@ def test_criterion_7_cli_determinism(tmp_path):
             ["radius", "--model", "uniform", "--n", "60", "--replications", "4", "--seed", "7"],
             ["distance", "--m0", "pa", "--m1", "uniform", "--n", "40",
              "--replications", "6", "--seed", "8"],
-            ["experiment", "--experiment", "radius-scan", "--m0", "pa",
-             "--n-values", "40,60", "--replications", "3", "--alpha", "sampled:4",
+            ["experiment", "--experiment", "concentration", "--m0", "pa",
+             "--n-values", "40,60", "--replications", "10", "--alpha", "sampled:4",
              "--seed", "9", "--out", str(tmp_path / "scan.csv")],
             ["oracle", "--model", "pa", "--n", "4", "--functional", "expected-s",
              "--probes", "2,3", "--width", "2"],

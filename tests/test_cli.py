@@ -160,7 +160,7 @@ class TestTestCommand:
         assert proc.returncode == 2
         # A value that does not parse is named with the flag's usage, as an unknown mode is.
         commands = [("test", str(pa_traj), "--null-model", "pa", "--D", "1"),
-                    ("experiment", "--experiment", "radius-scan", "--m0", "pa", "--n-values", "40",
+                    ("experiment", "--experiment", "concentration", "--m0", "pa", "--n-values", "40",
                      "--out", str(pa_traj.parent / "x.csv"))]
         for spec in ("magic", "sampled:abc", "sampled:2.5", "fixed:abc"):
             for command in commands:
@@ -224,10 +224,10 @@ class TestOracleCommand:
 
 
 class TestExperimentCommand:
-    def test_radius_scan_via_flags(self, tmp_path):
+    def test_concentration_via_flags(self, tmp_path):
         out = tmp_path / "scan.csv"
-        proc = run_cli("experiment", "--experiment", "radius-scan", "--m0", "pa",
-                       "--n-values", "40,60", "--replications", "3",
+        proc = run_cli("experiment", "--experiment", "concentration", "--m0", "pa",
+                       "--n-values", "40,60", "--replications", "10",
                        "--alpha", "sampled:4", "--seed", "9", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
@@ -282,8 +282,8 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("left_out", [("D",), ("replications",), ("D", "replications")], ids=str)
     def test_library_and_cli_fill_the_same_defaults(self, tmp_path, left_out):
         config = {
-            "experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1}, "n_values": [40],
-            "replications": 3, "test_config": {"D": 7.0, "seed": 4}, "output_path": str(tmp_path / "x.csv"),
+            "experiment": "concentration", "null_model": {"kind": "pa", "m": 1}, "n_values": [40],
+            "replications": 10, "test_config": {"D": 7.0, "seed": 4}, "output_path": str(tmp_path / "x.csv"),
         }
         for field in left_out:
             del (config["test_config"] if field == "D" else config)[field]
@@ -295,15 +295,15 @@ class TestExperimentCommand:
         library = harness.config_from_dict(harness.ExperimentConfig, config)
         assert recorded == harness.config_to_dict(library)
         assert (library.replications, library.test_config.D) == (
-            32 if "replications" in left_out else 3, 1.0 if "D" in left_out else 7.0
+            32 if "replications" in left_out else 10, 1.0 if "D" in left_out else 7.0
         )
 
     def test_label_with_whitespace_is_usage_error(self, tmp_path):
         config = {
-            "experiment": "radius-scan",
+            "experiment": "concentration",
             "null_model": {"kind": "pa", "m": 1, "a": 0.0, "label": "my pa"},
             "n_values": [40],
-            "replications": 3,
+            "replications": 10,
             "test_config": {"D": 1.0, "seed": 4},
         }
         cfg_path = tmp_path / "cfg.json"
@@ -334,14 +334,15 @@ class TestExperimentCommand:
         {"null_model": {"kind": "pa", "label": 5}},
         {"null_model": {"kind": ["pa"]}},
         {"n_values": "40"},
+        {"test_config": {"seed": 4, "D": 10**400}},
     ], ids=["not-object", "replications-null", "m-string", "test-config-list", "n-values-float",
             "n-values-string", "replications-float", "replications-string", "seed-float",
             "alpha-replications-float", "m-float", "alpha-mode-unknown", "alt-m-mismatch", "a-bool", "D-string",
-            "label-list", "label-int", "kind-list", "n-values-not-a-list"])
+            "label-list", "label-int", "kind-list", "n-values-not-a-list", "D-past-float-range"])
     def test_bad_config_type_is_usage_error(self, tmp_path, config):
         if isinstance(config, dict):
-            config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                      "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+            config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                      "n_values": [40], "replications": 10, "test_config": {"seed": 4}, **config}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
@@ -356,8 +357,8 @@ class TestExperimentCommand:
         ({"alt_model": {}}, "'kind'", "alt_model"),
     ], ids=["null-model-kind", "alpha-mode", "alpha-radius", "alt-model-empty"])
     def test_missing_config_field_is_named(self, tmp_path, config, key, where):
-        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": 4}, **config}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
@@ -383,8 +384,8 @@ class TestExperimentCommand:
     ], ids=["top", "null-model", "alt-model", "test-config-D", "test-config-width", "test-config-null-model",
             "sampled-alpha", "fixed-alpha", "sampled-alpha-radius"])
     def test_misspelled_config_key_is_named(self, tmp_path, config, message):
-        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": 4}, **config}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
@@ -408,8 +409,8 @@ class TestExperimentCommand:
     ], ids=["null-model", "alt-model", "test-config", "test-config-null-model", "alpha-mode",
             "alt-model-false", "alt-model-zero", "alt-model-empty-string", "alt-model-empty-list"])
     def test_config_field_that_is_not_an_object_is_named(self, tmp_path, config, message):
-        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, **config}
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": 4}, **config}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
@@ -418,8 +419,8 @@ class TestExperimentCommand:
         assert proc.stdout == ""
 
     def test_nonpositive_m_flag_is_usage_error(self, tmp_path):
-        proc = run_cli("experiment", "--experiment", "radius-scan", "--m0", "pa", "--m", "0",
-                       "--n-values", "40", "--replications", "3", "--seed", "9",
+        proc = run_cli("experiment", "--experiment", "concentration", "--m0", "pa", "--m", "0",
+                       "--n-values", "40", "--replications", "10", "--seed", "9",
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
@@ -439,8 +440,8 @@ class TestExperimentCommand:
     def test_output_over_the_config_file_is_rejected(
         self, tmp_path, monkeypatch, capsys, config_name, out_flag, output_path
     ):
-        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                  "n_values": [40], "replications": 3, "test_config": {"D": 1.0, "seed": 4}}
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"D": 1.0, "seed": 4}}
         if output_path is not None:
             config["output_path"] = output_path
         monkeypatch.chdir(tmp_path)
@@ -458,8 +459,8 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("value, kind", [(1, "int"), (True, "bool")])
     def test_non_string_output_path_is_usage_error(self, tmp_path, value, kind):
         # In a subprocess: the parent of this check opened the int as a file descriptor, fd 1.
-        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                  "n_values": [40], "replications": 3, "test_config": {"seed": 4}, "output_path": value}
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": 4}, "output_path": value}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         proc = run_cli("experiment", "--config", str(cfg_path))
@@ -468,8 +469,8 @@ class TestExperimentCommand:
         assert proc.stdout == ""
 
     def test_negative_seed_in_config_is_named(self, tmp_path, capsys):
-        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
-                  "n_values": [40], "replications": 3, "test_config": {"seed": -3}}
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": -3}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "x.csv"
@@ -479,13 +480,26 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_retired_radius_scan_experiment_is_rejected(self, tmp_path):
+        config = {"experiment": "radius-scan", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": 4}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert (proc.returncode, proc.stderr, proc.stdout) == (2, "error: unknown experiment 'radius-scan'\n", "")
+        proc = run_cli("experiment", "--experiment", "radius-scan", "--m0", "pa", "--n-values", "40",
+                       "--replications", "10", "--seed", "4", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --experiment: invalid choice" in proc.stderr and "radius-scan" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 @pytest.mark.parametrize("argv", [
     "generate --model pa --n 50 --out {tmp}/x.traj",
     "test {traj} --D 1",
     "radius --model pa --n 50 --replications 2",
     "distance --m0 pa --m1 uniform --n 50 --replications 2",
-    "experiment --experiment radius-scan --m0 pa --n-values 40 --replications 2 --out {tmp}/x.csv",
+    "experiment --experiment concentration --m0 pa --n-values 40 --replications 10 --out {tmp}/x.csv",
 ], ids=["generate", "test", "radius", "distance", "experiment"])
 def test_negative_seed_flag_is_named(argv, tmp_path, capsys):
     traj = tmp_path / "pa.traj"
@@ -544,16 +558,15 @@ BAD_ARGV = [
     "oracle --n 9 --functional traj-probs",
     "oracle --n 4 --functional dn",
     "oracle --n 4 --m 2 --functional traj-probs",
-    "experiment --experiment radius-scan --m0 pa --n-values 1 --seed 1 --out {out}",
     "experiment --experiment concentration --m0 pa --n-values 1 --seed 1 --out {out}",
     "experiment --experiment success-rate --m0 pa --m1 uniform --n-values 1 --D 30 --seed 1 --out {out}",
     "experiment --experiment calibration --m0 pa --m1 uniform --n-values 1 --seed 1 --out {out}",
     "experiment --experiment tail-exponent --m0 pa --n-values 1 --seed 1 --out {out}",
-    "experiment --experiment radius-scan --m0 pa --n-values x --seed 1 --out {out}",
-    "experiment --experiment radius-scan --m0 pa --n-values 40 --alpha sampled:abc --seed 1 --out {out}",
-    "experiment --experiment radius-scan --m0 pa --n-values 40,30 --seed 1 --out {out}",
+    "experiment --experiment concentration --m0 pa --n-values x --seed 1 --out {out}",
+    "experiment --experiment concentration --m0 pa --n-values 40 --alpha sampled:abc --seed 1 --out {out}",
+    "experiment --experiment concentration --m0 pa --n-values 40,30 --seed 1 --out {out}",
     "experiment --config {tmp}/missing.json --seed 1 --out {out}",
-    "experiment --experiment radius-scan --m0 pa --n-values 40 --replications 3 --seed 1 --out {tmp}/x.json",
+    "experiment --experiment concentration --m0 pa --n-values 40 --replications 10 --seed 1 --out {tmp}/x.json",
 ]
 
 

@@ -20,7 +20,6 @@ from dyngof.gof import (
 from dyngof.harness import (
     EXPERIMENT_CALIBRATION,
     EXPERIMENT_CONCENTRATION,
-    EXPERIMENT_RADIUS_SCAN,
     EXPERIMENT_SUCCESS,
     EXPERIMENT_TAIL,
     MIN_TAIL_BINS,
@@ -37,7 +36,6 @@ from dyngof.harness import (
     run_calibration_experiment,
     run_concentration_experiment,
     run_experiment,
-    run_radius_scan,
     run_success_experiment,
     run_tail_experiment,
     tail_exponent_diagnostic,
@@ -148,6 +146,17 @@ class TestExperimentConfig:
     def test_test_config_rejects_non_real_fields(self, field, name):
         with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
             config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "D": 1.0, **field})
+
+    @pytest.mark.parametrize("field, name", [
+        ({"D": 10**400}, "D"), ({"width_fraction": 10**400}, "width_fraction"),
+        ({"probe_fraction": -(10**400)}, "probe_fraction"),
+        ({"alpha_mode": {"mode": "fixed", "radius": 10**400}}, "radius"),
+        ({"null_model": {"kind": "affine-pa", "a": 10**400}}, "a"),
+    ], ids=["D", "width-fraction", "probe-fraction", "radius", "a"])
+    def test_integer_past_float_range_is_named_not_echoed(self, field, name):
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "D": 1.0, **field})
+        assert str(exc.value) == f"{name}: expected a number within float range"
 
     def test_real_fields_are_stored_as_floats(self):
         tc = config_from_dict(TestConfig, {"null_model": {"kind": "affine-pa", "a": 1}, "D": 30,
@@ -278,7 +287,7 @@ CODEC_BASES = {
     SampledAlpha: SampledAlpha(),
     FixedAlpha: FixedAlpha(1.0),
     TestConfig: TestConfig(null_model=PA),
-    ExperimentConfig: ExperimentConfig(experiment=EXPERIMENT_RADIUS_SCAN, null_model=PA, n_values=(40,),
+    ExperimentConfig: ExperimentConfig(experiment=EXPERIMENT_TAIL, null_model=PA, n_values=(40,),
                                        test_config=TestConfig(null_model=PA)),
 }
 CODEC_VALUES = {
@@ -463,11 +472,6 @@ class TestCalibrateD:
 
 
 class TestOtherRunners:
-    def test_radius_scan(self):
-        table = run_radius_scan(base_config(EXPERIMENT_RADIUS_SCAN, alpha_mode=SampledAlpha(4)))
-        assert table.header == ["n", "radius_mean", "radius_std", "replications"]
-        assert all(row[1] >= 0 and row[2] >= 0 for row in table.rows)
-
     def test_tail_experiment(self):
         cfg = base_config(EXPERIMENT_TAIL, n_values=(1200,), replications=2)
         table = run_tail_experiment(cfg)
@@ -513,12 +517,6 @@ class TestFractionsReachTheRuns:
             est = sampling_radius_estimate(row[0], tc, 10, derive_seed(tc.seed, TAG_EXPERIMENT, k))
             assert row[1:4] == [est.mean, est.std, est.std / est.mean]
 
-    def test_radius_scan(self):
-        tc, rows = self.rows(run_radius_scan, EXPERIMENT_RADIUS_SCAN)
-        for k, row in enumerate(rows):
-            est = sampling_radius_estimate(row[0], tc, 4, derive_seed(tc.seed, TAG_EXPERIMENT, k))
-            assert row == [row[0], est.mean, est.std, 4]
-
     def test_calibration(self):
         tc, rows = self.rows(run_calibration_experiment, EXPERIMENT_CALIBRATION, n_values=(150,), replications=10)
         cal = calibrate_D(UNI, 150, tc, 10, derive_seed(tc.seed, TAG_EXPERIMENT, 100))
@@ -538,7 +536,7 @@ class TestCsvPersistence:
 
     def test_experiment_artifacts(self, tmp_path):
         cfg = base_config(
-            EXPERIMENT_RADIUS_SCAN, n_values=(40, 60), replications=3,
+            EXPERIMENT_CONCENTRATION, n_values=(40, 60), replications=10,
             alpha_mode=SampledAlpha(4),
         )
         cfg = ExperimentConfig(**{**cfg.__dict__, "output_path": str(tmp_path / "scan.csv")})
