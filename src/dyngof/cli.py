@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a batch experiment from flags and/or a config file")
     p.add_argument("--config", help="JSON file mirroring the experiment configuration")
-    p.add_argument("--experiment", choices=harness.EXPERIMENTS)
+    # Checked by ExperimentConfig, so a flag and a config file name an unknown experiment alike.
+    p.add_argument("--experiment", help=f"one of {', '.join(harness.EXPERIMENTS)}")
     p.add_argument("--m0", help=f"null model: {_KINDS_HELP}")
     p.add_argument("--m1", help=f"alternative model: {_KINDS_HELP}")
     p.add_argument("--m", type=int, default=1)
