@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sampling
-from .models import ModelSpec, Trajectory, _integer, _real, check_targets, sample_choices, sorted_hits
-from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
-from .sampling import ProbePlan, probe_points, probe_tvs, probe_tvs_block, sample_probe_points
+from .models import ModelSpec, Trajectory, _real, check_targets, sample_choices, sorted_hits
+from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, _integer, derive_seed, stream
+from .sampling import ProbePlan, probe_points, probe_tvs_block, sample_probe_points
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def probe_sum(tvs: np.ndarray) -> np.ndarray:
 def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> StatisticResult:
     """Sum of per-probe TV distances against the null model.
 
-    sampling.probe_tvs gives every probe's TV and kept count D_r in batched
-    numpy passes, equal up to rounding to tv_distance(empirical_measure(...),
+    sampling.probe_tvs_block gives every probe's TV and kept count D_r in
+    batched numpy passes, equal up to rounding to tv_distance(empirical_measure(...),
     step_distribution(...)) on the replayed state; it costs one sort of the
     (n-1)*m choices, O(n*m) for every window's kept count and hit weight,
     plus O(log(n*m)) per candidate (probe, vertex) pair with lam*w_v > 1,
@@ -151,7 +151,7 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     own m choices lie in {1, ..., r-1}. S adds the values in probe order;
     kept is the sum of D_r.
     """
-    tvs, kept = probe_tvs(traj, null_model, plan)
+    (tvs,), kept = probe_tvs_block(traj.choices[None], [null_model], plan.points[None], plan.width)
     return StatisticResult(S=float(probe_sum(tvs)), per_probe_tv=list(tvs), kept=int(kept.sum()))
 
 
@@ -210,7 +210,7 @@ def statistic_samples(gen_model: ModelSpec, n: int, cfg: TestConfig, replication
     Each replication uses an independently derived trajectory seed and
     probe plan, so results are reproducible from (seed, index) alone.
     """
-    if replications < 1:
+    if _integer("replications", replications) < 1:
         raise ValueError("need at least one replication")
     return statistics(gen_model, n, cfg, *replication_seeds(seed, replications))
 
@@ -222,7 +222,7 @@ def sampling_radius_estimate(n: int, cfg: TestConfig, replications: int, seed: i
     trajectories; the standard deviation is reported so callers can judge
     the estimate against D/2.
     """
-    if replications < 2:
+    if _integer("replications", replications) < 2:
         raise ValueError("radius estimation needs at least 2 replications")
     return RadiusEstimate.of(statistic_samples(cfg.null_model, n, cfg, replications, seed))
 
@@ -286,7 +286,7 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
     dn_summands pass, O(n*m*log(n*m)) per replication, scores each block of
     replication_blocks; the summands are added in replication order.
     """
-    if replications < 1:
+    if _integer("replications", replications) < 1:
         raise ValueError("need at least one replication")
     if m0.m != m1.m:
         raise ValueError("models disagree on edges per arrival")

@@ -33,8 +33,8 @@ from .gof import (
     statistics,
     threshold_radius,
 )
-from .models import ModelSpec, _integer, final_degrees
-from .rng import TAG_EXPERIMENT, TAG_PROBES, TAG_TAIL, derive_seed, stream
+from .models import ModelSpec, final_degrees
+from .rng import TAG_EXPERIMENT, TAG_PROBES, TAG_TAIL, _integer, derive_seed, stream
 
 EXPERIMENT_SUCCESS = "success-rate"
 EXPERIMENT_CONCENTRATION = "concentration"
@@ -170,7 +170,7 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
     """
     if n < 1000:
         raise ValueError("tail diagnostic needs n >= 1000")
-    if replications < 1:
+    if _integer("replications", replications) < 1:
         raise ValueError("need at least one replication")
     # Equal degrees share one probability: a spectrum is its distinct probabilities weighted by vertex counts.
     spectra = []
@@ -221,7 +221,7 @@ def calibrate_D(m1: ModelSpec, n: int, cfg: TestConfig, replications: int, seed:
     alternative's radius has sampling_radius_estimate's bits, and the cross
     mean and dn have those of scoring each replication alone.
     """
-    if replications < 10:
+    if _integer("replications", replications) < 10:
         raise ValueError("calibration needs at least 10 replications")
     m0 = cfg.null_model
     if m0 == m1:

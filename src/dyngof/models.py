@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import stream
+from .rng import _integer, stream
 
 KIND_PA = "pa"
 KIND_UNIFORM = "uniform"
@@ -99,13 +99,6 @@ class _DerivedLabel(str):
     """A label ModelSpec filled in from its fields rather than one given."""
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a float, string or bool raises ValueError rather than truncating."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
-
-
 def _real(name: str, value) -> float:
     """value as a float; a bool, string, other non-real or value past float range raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -114,6 +107,14 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name}: expected a number within float range") from None
+
+
+def _integer_array(name: str, values) -> np.ndarray:
+    """values as an array; a nonempty one whose dtype is not an integer kind raises ValueError."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name}: expected integers, got {values.dtype} values")
+    return values
 
 
 def _string(name: str, value) -> str:
@@ -198,9 +199,11 @@ class Trajectory:
     seed: int
 
     def __post_init__(self):
-        _check_label(self.model_label)
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        _check_label(_string("model_label", self.model_label))
         object.__setattr__(self, "m", _check_edges(self.m))
-        choices = np.ascontiguousarray(self.choices, dtype=np.int64)
+        choices = np.ascontiguousarray(_integer_array("choices", self.choices), dtype=np.int64)
         if choices.shape != (self.n - 1, self.m):
             raise ValueError(f"choices must have shape {(self.n - 1, self.m)}")
         check_targets(choices)
@@ -284,6 +287,7 @@ def sample_choices(model: ModelSpec, n: int, seeds: list[int]) -> np.ndarray:
     draws runs once over the whole stack. One seed's draws are worked on in
     place, with no copy into a stack.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("n must be at least 2")
     m, reps = model.m, len(seeds)

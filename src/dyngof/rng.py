@@ -8,6 +8,8 @@ aggregated bit-identically no matter how they are scheduled.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Purpose tags for derived streams. Values are part of the reproducibility
@@ -20,8 +22,16 @@ TAG_TAIL = 5
 TAG_EXPERIMENT = 6
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float, string or bool raises ValueError rather than truncating."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _sequence(seed: int, key: tuple) -> np.random.SeedSequence:
-    """The SeedSequence of (seed, key...). Every seed enters numpy here, so a negative one is named once."""
+    """The SeedSequence of (seed, key...). Every seed enters numpy here, so a bad one is named once."""
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.SeedSequence(seed, spawn_key=key)

@@ -6,13 +6,12 @@ conditional distribution, discarding choices that land outside the
 vertices {1, ..., t-1} alive before the window. The resulting sparse
 empirical measure is compared against a model's conditional distribution
 in total variation. empirical_measure and tv_distance are the
-single-probe definitions; probe_tvs computes every probe of a plan from
-the complement of an identity that needs no per-window sort: two
-difference arrays give every window's kept count and hit weight in
-O(n*m), and only the (probe, vertex) pairs that can add a positive part
-are expanded. It equals them up to rounding and is what the statistic
-calls; probe_tvs_block scores a block of replications in one such pass,
-with the same bits.
+single-probe definitions; probe_tvs_block computes every probe of a
+block of plans from the complement of an identity that needs no
+per-window sort: two difference arrays give every window's kept count
+and hit weight in O(n*m), and only the (probe, vertex) pairs that can add
+a positive part are expanded. It equals them up to rounding and is what
+the statistic calls, and a replication gets the same bits in any block.
 
 Also provides the pair-counting representation of TV between two discrete
 measures: group domain elements by their (p, q) probability pair and sum
@@ -27,9 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import ModelSpec, ProbVector, Trajectory, _integer, sorted_hits
+from .models import ModelSpec, ProbVector, Trajectory, _integer_array, sorted_hits
+from .rng import _integer
 
-# Candidate (probe, vertex) pairs evaluated per batch in probe_tvs. It
+# Candidate (probe, vertex) pairs evaluated per batch in probe_tvs_block. It
 # bounds a batch's working memory at a few times this many words whatever
 # n, the window width or the number of probes is; the rest of the kernel
 # holds O(n*m) words.
@@ -75,9 +75,7 @@ def _plan_rule(width, points=None, ndim: int = 1) -> tuple[np.ndarray | None, in
     if width < 1:
         raise ValueError("infeasible plan: width must be positive")
     if points is not None:
-        points = np.asarray(points)
-        if points.size and points.dtype.kind not in "iu":
-            raise ValueError(f"points: expected integers, got {points.dtype} values")
+        points = _integer_array("points", points)
         if points.ndim != ndim:
             raise ValueError(f"points: expected {ndim}-D, got shape {points.shape}")
         if points.size < 1:
@@ -142,30 +140,22 @@ def tv_distance(emp: EmpiricalMeasure, model_probs: ProbVector) -> float:
     return min(max(0.5 * acc, 0.0), 1.0)
 
 
-def probe_tvs(traj: Trajectory, model: ModelSpec, plan: ProbePlan) -> tuple[np.ndarray, np.ndarray]:
-    """TV distance and kept count D_r of every probe of the plan.
-
-    Entry k is tv_distance(empirical_measure(traj, r, width),
-    step_distribution(model, replay(traj, r - 1))) for r = plan.points[k],
-    up to rounding, and that measure's denom. Both measures sum to one on
-    {1, ..., r-1}, so with c_v the window count of v, w_v =
-    attachment_probability(deg_v, 1) = (r-1) * p_v and lam = D_r / (r-1),
-    the TV is sum_v max(c_v - lam * w_v, 0) / D_r over the vertices the
-    window hits, which is 1 - W_r / (r-1) + K_r / D_r with W_r = sum_v w_v
-    and K_r = sum_v max(lam * w_v - c_v, 0). D_r and W_r come from two
-    difference arrays; K_r only from the (probe, vertex) pairs with
-    lam * w_v > 1, in batches of BATCH_ELEMENTS pairs. A plan that is not
-    feasible for traj raises ValueError. This is probe_tvs_block on a block
-    of one and a list of one null.
-    """
-    tvs, kept = probe_tvs_block(traj.choices[None], [model], plan.points[None], plan.width)
-    return tvs[0], kept
-
-
 def probe_tvs_block(
     choices: np.ndarray, nulls: list, points: np.ndarray, width: int
 ) -> tuple[list, np.ndarray]:
-    """probe_tvs of each trajectory against each null with the plan (points[k], width), in one pass over the block.
+    """TV distance and kept count D_r of every probe of each trajectory's plan (points[k], width), against each null.
+
+    Probe r of trajectory traj against a null gets
+    tv_distance(empirical_measure(traj, r, width),
+    step_distribution(null, replay(traj, r - 1))), up to rounding, and that
+    measure's denom. Both measures sum to one on {1, ..., r-1}, so with c_v
+    the window count of v, w_v = attachment_probability(deg_v, 1) =
+    (r-1) * p_v and lam = D_r / (r-1), the TV is
+    sum_v max(c_v - lam * w_v, 0) / D_r over the vertices the window hits,
+    which is 1 - W_r / (r-1) + K_r / D_r with W_r = sum_v w_v and
+    K_r = sum_v max(lam * w_v - c_v, 0). D_r and W_r come from two
+    difference arrays; K_r only from the (probe, vertex) pairs with
+    lam * w_v > 1, in batches of BATCH_ELEMENTS pairs.
 
     choices is the (K, n-1, m) stack of the K trajectories' choices, as
     models.sample_choices draws it, and gives the block's n and m; it is
@@ -177,7 +167,7 @@ def probe_tvs_block(
     so each difference array covers the K*n starts of all replications. The
     float cumsum of the hit weights, the suffix minimum h and its
     searchsorted cut run per replication, so every probe gets the bits
-    probe_tvs gives it alone. The hits, kept counts, first-hit ranges and h
+    it gets in a block of one. The hits, kept counts, first-hit ranges and h
     do not depend on the null and are built once; each null adds its
     weights, hit mass, cut and pairs. Returns a list of len(nulls) TV arrays,
     entry j against nulls[j], and the kept counts once, each of the K*M

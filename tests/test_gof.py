@@ -27,6 +27,7 @@ from dyngof.models import (
     uniform_attach,
 )
 from dyngof import sampling
+from dyngof.harness import calibrate_D, tail_exponent_diagnostic
 from dyngof.oracle import exact_dn, exact_expected_statistic
 from dyngof.rng import TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, derive_seed, stream
 from dyngof.sampling import ProbePlan, empirical_measure, sample_probe_points, tv_dense, tv_distance
@@ -150,6 +151,43 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -7$"):
                 draw(-7, TAG_PROBES, 0)
         assert derive_seed(0) >= 0 and stream(0).integers(2) in (0, 1)
+
+    def test_non_integral_seed_is_named_where_it_enters_numpy(self):
+        cfg = TestConfig(null_model=PA, D=1.0)
+        with pytest.raises(ValueError, match="^seed: expected an integer, got True$"):
+            sample_trajectory(PA, 50, True)
+        with pytest.raises(ValueError, match="^seed: expected an integer, got True$"):
+            sampling_radius_estimate(50, cfg, 4, True)
+        for seed in (1.0, 2.5, "3", None):
+            for draw in (stream, derive_seed):
+                with pytest.raises(ValueError, match=f"^seed: expected an integer, got {seed!r}$"):
+                    draw(seed, TAG_PROBES, 0)
+        # numpy integers are seeds too, with the bits of the equal int.
+        for seed in (np.int64(5), np.uint64(2**64 - 1), np.uint8(3)):
+            assert derive_seed(seed, TAG_PROBES, 1) == derive_seed(int(seed), TAG_PROBES, 1)
+            assert stream(seed).integers(1 << 62) == stream(int(seed)).integers(1 << 62)
+        np.testing.assert_array_equal(sample_trajectory(PA, 50, np.int64(9)).choices,
+                                      sample_trajectory(PA, 50, 9).choices)
+
+    @pytest.mark.parametrize("entry, args, name, value", [
+        (sample_trajectory, (PA, 50.0, 1), "n", 50.0),
+        (sample_trajectory, (PA, True, 1), "n", True),
+        (statistic_samples, (PA, 50, TestConfig(null_model=PA), True, 1), "replications", True),
+        (statistic_samples, (PA, 50, TestConfig(null_model=PA), 2.0, 1), "replications", 2.0),
+        (sampling_radius_estimate, (50, TestConfig(null_model=PA), 3.0, 1), "replications", 3.0),
+        (dn_estimate, (PA, UNI, 50, True, 1), "replications", True),
+        (calibrate_D, (UNI, 50, TestConfig(null_model=PA), 10.0, 1), "replications", 10.0),
+        (tail_exponent_diagnostic, (PA, 1000, 2.0, 1), "replications", 2.0),
+    ], ids=["trajectory-n-float", "trajectory-n-bool", "samples-bool", "samples-float", "radius-float", "dn-bool",
+            "calibration-float", "tail-float"])
+    def test_monte_carlo_counts_are_integers_before_any_draw(self, entry, args, name, value, monkeypatch):
+        # Without the rule True runs one replication and 2.0 reaches numpy, which raises TypeError.
+        def no_stream(*_):
+            raise AssertionError("a stream was made before the count was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer, got {value!r}$"):
+            entry(*args)
 
     @pytest.mark.parametrize("replications", [2.7, "3"])
     def test_rejects_non_integral_alpha_replications(self, replications):

@@ -580,6 +580,29 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="whitespace"):
             Trajectory(3, 1, np.array([[1], [1]]), "my pa", 0)
 
+    @pytest.mark.parametrize("n, choices, label, seed, message", [
+        (3.0, [[1], [1]], "x", 0, "^n: expected an integer, got 3.0$"),
+        (True, np.empty((0, 1)), "x", 0, "^n: expected an integer, got True$"),
+        (3, [[1], [1]], "x", 1.5, "^seed: expected an integer, got 1.5$"),
+        (3, [[1], [1]], "x", "a", "^seed: expected an integer, got 'a'$"),
+        (3, [[1], [1]], "x", True, "^seed: expected an integer, got True$"),
+        (3, [[1], [1]], 5, 0, "^model_label: expected a string, got 5$"),
+        (3, [[1.7], [1.2]], "x", 0, "^choices: expected integers, got float64 values$"),
+        (3, [[1.0], [1.0]], "x", 0, "^choices: expected integers, got float64 values$"),
+        (3, [[True], [True]], "x", 0, "^choices: expected integers, got bool values$"),
+        (3, [["1"], ["1"]], "x", 0, "^choices: expected integers, got <U1 values$"),
+    ])
+    def test_rejects_fields_the_header_cannot_hold(self, n, choices, label, seed, message):
+        # Without these checks each would construct (or raise TypeError) and write a file the reader rejects.
+        with pytest.raises(ValueError, match=message):
+            Trajectory(n, 1, choices, label, seed)
+
+    def test_numpy_integer_fields_and_negative_seed_construct(self):
+        traj = Trajectory(np.int64(3), 1, np.array([[1], [1]], dtype=np.uint8), "x", np.int32(-4))
+        assert (type(traj.n), traj.n, type(traj.seed), traj.seed) == (int, 3, int, -4)
+        # An empty float array has no value to truncate.
+        assert Trajectory(1, 2, np.empty((0, 2)), "x", 0).choices.dtype == np.int64
+
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError, match="positive integer"):
             Trajectory(3, 0, np.empty((2, 0)), "x", 0)

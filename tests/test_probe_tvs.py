@@ -27,7 +27,7 @@ from dyngof.models import (
     uniform_attach,
 )
 from dyngof.oracle import _exact_probe_tv
-from dyngof.sampling import ProbePlan, empirical_measure, probe_tvs, sample_probe_points, tv_distance
+from dyngof.sampling import ProbePlan, empirical_measure, probe_tvs_block, sample_probe_points, tv_distance
 
 RTOL, ATOL = 1e-12, 1e-15
 ORACLE_RTOL = 1e-13
@@ -53,7 +53,7 @@ def bits(values):
 
 
 def assert_matches_reference(traj, model, plan):
-    tvs, kept = probe_tvs(traj, model, plan)
+    (tvs,), kept = probe_tvs_block(traj.choices[None], [model], plan.points[None], plan.width)
     want = reference_tvs(traj, model, plan)
     np.testing.assert_allclose(tvs, want, rtol=RTOL, atol=ATOL)
     denoms = [empirical_measure(traj, int(r), plan.width).denom for r in plan.points]
@@ -82,9 +82,9 @@ def test_fuzzed_plans_match_reference(m, case):
 def test_batch_budget_does_not_change_bits(budget, model, monkeypatch):
     traj = sample_trajectory(affine_pref_attach(1.0, 2), 200, seed=budget)
     plan = sample_probe_points(200, 150, 13, np.random.default_rng(budget))
-    tvs, kept = probe_tvs(traj, model, plan)
+    (tvs,), kept = probe_tvs_block(traj.choices[None], [model], plan.points[None], plan.width)
     monkeypatch.setattr(sampling, "BATCH_ELEMENTS", budget)
-    batched_tvs, batched_kept = probe_tvs(traj, model, plan)
+    (batched_tvs,), batched_kept = probe_tvs_block(traj.choices[None], [model], plan.points[None], plan.width)
     np.testing.assert_array_equal(bits(batched_tvs), bits(tvs))
     np.testing.assert_array_equal(batched_kept, kept)
     assert_matches_reference(traj, model, plan)
@@ -119,13 +119,13 @@ def test_fuzzed_plans_match_rational_oracle(null_kind, width_kind):
         plan = ProbePlan(points=np.sort(np.concatenate([points, points[:2]])), width=width)
         choices = tuple(int(v) for v in traj.choices[:, 0])
         want = [float(_exact_probe_tv(choices, null, int(r), width)) for r in plan.points]
-        np.testing.assert_allclose(probe_tvs(traj, null, plan)[0], want, rtol=ORACLE_RTOL, atol=0)
+        np.testing.assert_allclose(test_statistic(traj, null, plan).per_probe_tv, want, rtol=ORACLE_RTOL, atol=0)
 
 
 def assert_matches_oracle(traj, model, plan):
     choices = tuple(int(v) for v in traj.choices[:, 0])
     want = [float(_exact_probe_tv(choices, model, int(r), plan.width)) for r in plan.points]
-    np.testing.assert_allclose(probe_tvs(traj, model, plan)[0], want, rtol=ORACLE_RTOL, atol=0)
+    np.testing.assert_allclose(test_statistic(traj, model, plan).per_probe_tv, want, rtol=ORACLE_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -137,7 +137,7 @@ def test_early_probes_of_widest_window(m):
         n = 5 + 7 * case
         traj = sample_trajectory(models(m)[case % 4], n, seed=case)
         plan = ProbePlan(points=np.array([2, 2, 3, 3]), width=n - 2)
-        kept = probe_tvs(traj, pref_attach(m), plan)[1]
+        kept = probe_tvs_block(traj.choices[None], [pref_attach(m)], plan.points[None], plan.width)[1]
         assert np.all(kept >= plan.points - 1)
         for model in models(m):
             assert_matches_reference(traj, model, plan)
@@ -156,7 +156,7 @@ def test_star_trajectory(m):
         assert_matches_reference(traj, model, plan)
         if m == 1:
             assert_matches_oracle(traj, model, plan)
-    tvs, kept = probe_tvs(traj, pref_attach(m), plan)
+    (tvs,), kept = probe_tvs_block(traj.choices[None], [pref_attach(m)], plan.points[None], plan.width)
     np.testing.assert_array_equal(kept, np.full(plan.count, 9 * m))
     # pa at time r - 1: deg_1 = r*m of total 2m(r - 1), so TV = 1 - r / (2(r - 1)).
     r = plan.points
@@ -173,7 +173,7 @@ def test_uniform_null_exact_zeros(m):
         traj = sample_trajectory(uniform_attach(m), n, seed)
         for width in range(1, n - 1):
             plan = ProbePlan(points=np.arange(2, n + 2 - width), width=width)
-            tvs = probe_tvs(traj, null, plan)[0]
+            (tvs,), _ = probe_tvs_block(traj.choices[None], [null], plan.points[None], plan.width)
             assert np.all((tvs >= 0) & (tvs <= 1))
             exact = np.asarray(reference_tvs(traj, null, plan)) == 0
             assert np.all(np.abs(tvs[exact]) <= 1e-15)
@@ -216,7 +216,7 @@ def test_block_matches_each_replication_alone(m, case):
     (tvs,), kept = sampling.probe_tvs_block(np.stack([t.choices for t in trajs]), [null], points, width)
     at = np.arange(reps + 1) * points.shape[1]
     for k, (traj, plan) in enumerate(zip(trajs, plans)):
-        alone_tvs, alone_kept = probe_tvs(traj, null, plan)
+        (alone_tvs,), alone_kept = probe_tvs_block(traj.choices[None], [null], plan.points[None], plan.width)
         np.testing.assert_array_equal(bits(tvs[at[k] : at[k + 1]]), bits(alone_tvs))
         np.testing.assert_array_equal(kept[at[k] : at[k + 1]], alone_kept)
 
@@ -372,7 +372,8 @@ def test_fuzzed_plans_are_checked_by_one_rule(case):
         plans = [sample_probe_points(n, 3, width, draw) for _ in trajs]
         (tvs,), kept = sampling.probe_tvs_block(choices, [pref_attach()], np.stack([p.points for p in plans]), width)
         for k, (traj, plan) in enumerate(zip(trajs, plans)):
-            alone_tvs, alone_kept = probe_tvs(traj, pref_attach(), plan)
+            alone = probe_tvs_block(traj.choices[None], [pref_attach()], plan.points[None], plan.width)
+            (alone_tvs,), alone_kept = alone
             np.testing.assert_array_equal(bits(tvs[3 * k : 3 * k + 3]), bits(alone_tvs))
             np.testing.assert_array_equal(kept[3 * k : 3 * k + 3], alone_kept)
 

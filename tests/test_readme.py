@@ -1,0 +1,36 @@
+"""README's commands against the code: every dyngof line parses, and every python block runs.
+
+CI runs each dyngof line of README's sh blocks too; this test parses them with the CLI's own parser
+without running them, so a renamed or removed flag fails the Tier-1 suite.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+from dyngof import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def test_every_dyngof_line_parses():
+    commands = []
+    for block in blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["dyngof"]:
+                commands.append(words[1:])
+    assert commands
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
+
+
+def test_every_python_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert blocks("python")
+    for block in blocks("python"):
+        exec(compile(block, "README.md", "exec"), {})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dyngof.gof import test_statistic
 from dyngof.models import ProbVector, Trajectory, pref_attach, sample_trajectory
 from dyngof.sampling import (
     EmpiricalMeasure,
@@ -11,7 +12,6 @@ from dyngof.sampling import (
     counting_function,
     empirical_measure,
     probe_points,
-    probe_tvs,
     sample_probe_points,
     tv_dense,
     tv_distance,
@@ -136,9 +136,9 @@ class TestProbePlan:
     def test_feasibility(self):
         # The last window [9, 11) ends at arrival 10: it fits n = 10 and not n = 9.
         plan = ProbePlan(points=np.array([2, 9]), width=2)
-        probe_tvs(sample_trajectory(pref_attach(), 10, 1), pref_attach(), plan)
+        test_statistic(sample_trajectory(pref_attach(), 10, 1), pref_attach(), plan)
         with pytest.raises(ValueError, match="infeasible plan"):
-            probe_tvs(sample_trajectory(pref_attach(), 9, 1), pref_attach(), plan)
+            test_statistic(sample_trajectory(pref_attach(), 9, 1), pref_attach(), plan)
 
 
 class TestEmpiricalMeasure:

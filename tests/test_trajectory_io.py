@@ -125,6 +125,46 @@ class TestRoundTrip:
         assert (back.n, back.m, back.model_label, back.seed) == (n, m, traj.model_label, seed)
         np.testing.assert_array_equal(back.choices, traj.choices)
 
+    def test_any_constructed_trajectory_reads_back(self, tmp_path):
+        # Every field fuzzed over Python and numpy ints, bools, floats, strings and negatives: each Trajectory
+        # either raises ValueError or writes a file that the reader returns equal.
+        rng = np.random.default_rng(20261020)
+        path, outcomes = tmp_path / "t.traj", {"built": 0, "rejected": 0}
+
+        def pick(valid, invalid):
+            values = valid if rng.random() < 0.75 else valid + invalid
+            return values[int(rng.integers(len(values)))]
+
+        for _ in range(400):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            choices = random_trajectory(rng, n, m, "x", 0).choices
+            fields = {
+                "n": pick([n, np.int64(n), np.uint16(n)], [float(n), str(n), True, -n, 0]),
+                "m": pick([m, np.int8(m)], [float(m), str(m), True, False, -m]),
+                "choices": pick(
+                    [choices, choices.tolist(), choices.astype(np.uint32)],
+                    [choices.astype(float), choices > 1, choices.astype(str), -choices, choices + 1],
+                ),
+                "model_label": pick(
+                    ["x", "pa(m=1)", "a=b", "pä", "", "\x00"], ["my pa", "tab\t", "\x85", 5, None, b"x"]
+                ),
+                "seed": pick([7, -3, 2**70, np.int64(-5), np.uint64(2**64 - 1)], [True, False, 1.5, 2.0, "7", None]),
+            }
+            try:
+                traj = Trajectory(**fields)
+            except ValueError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["built"] += 1
+            write_trajectory(traj, str(path))
+            back = read_trajectory(str(path))
+            assert (back.n, back.m, back.model_label, back.seed) == (traj.n, traj.m, traj.model_label, traj.seed)
+            assert (traj.n, traj.m, traj.model_label, traj.seed) == tuple(
+                fields[name] for name in ("n", "m", "model_label", "seed")
+            )
+            np.testing.assert_array_equal(back.choices, np.asarray(fields["choices"]).reshape(n - 1, m))
+        assert min(outcomes.values()) >= 50, outcomes
+
     @pytest.mark.parametrize("model", [pref_attach(3), uniform_attach(1), affine_pref_attach(0.5, m=2)],
                              ids=lambda model: model.label)
     def test_sampled_trajectory(self, tmp_path, model):
