@@ -161,7 +161,7 @@ def replication_blocks(model: ModelSpec, n: int, seeds: list[int]):
     The R seeds split into the number of blocks nearest R*(n-1)*m / sampling.BATCH_ELEMENTS, at least one and at
     most R, as contiguous ranges whose sizes differ by at most one; one range check covers a block.
     """
-    reps = len(seeds)
+    reps, n = len(seeds), _integer("n", n)
     count = min(reps, max(1, round(reps * (n - 1) * model.m / sampling.BATCH_ELEMENTS)))
     for b in range(count):
         block = range(b * reps // count, (b + 1) * reps // count)
@@ -188,6 +188,7 @@ def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, 
 
     block_statistics scores each block of replication_blocks.
     """
+    n = _integer("n", n)
     # The horizon check names the window before sample_choices rejects n.
     probe_points(n, cfg.probes_for(n), cfg.width_for(n), [])
     values = np.empty(len(traj_seeds))

@@ -86,6 +86,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"output_path {self.output_path!r} is its own manifest's path; give the CSV another extension"
             )
+        needs_alt = self.experiment in (EXPERIMENT_SUCCESS, EXPERIMENT_CALIBRATION)
+        if needs_alt and self.alt_model in (None, self.null_model):
+            raise ValueError("degenerate config: alternative must differ from the null model")
+        if self.experiment == EXPERIMENT_CONCENTRATION and self.replications < 10:
+            raise ValueError("concentration needs at least 10 replications")
         # The runs test against null_model, so the test config records it too.
         object.__setattr__(self, "test_config", replace(self.test_config, null_model=self.null_model))
 
@@ -118,48 +123,6 @@ class CalibrationResult:
     dn: float
 
 
-def run_success_experiment(cfg: ExperimentConfig) -> Table:
-    """Accuracy of the test on trajectories from both hypotheses.
-
-    Per n, the threshold radius is estimated once from the null model and
-    shared by all tested trajectories, which are rejected when S > alpha;
-    success combines the per-hypothesis accuracies with equal priors.
-    """
-    if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
-        raise ValueError("degenerate config: alternative must differ from the null model")
-    tc = cfg.test_config
-    reps = range(cfg.replications)
-    header = ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"]
-    rows = []
-    for k, n in enumerate(cfg.n_values):
-        alpha = threshold_radius(tc, n, derive_seed(tc.seed, TAG_EXPERIMENT, k, 0)).mean + tc.D / 2
-        S = [
-            statistics(model, n, tc, [derive_seed(tc.seed, TAG_EXPERIMENT, k, 1 + hyp, i) for i in reps],
-                       [stream(derive_seed(tc.seed, TAG_EXPERIMENT, k, 3 + hyp, i), TAG_PROBES, 0) for i in reps])
-            for hyp, model in enumerate((cfg.null_model, cfg.alt_model))
-        ]
-        acc0, acc1 = (np.count_nonzero((S[hyp] > alpha) == hyp) / cfg.replications for hyp in (0, 1))
-        rows.append([n, acc0, acc1, (acc0 + acc1) / 2, float(np.mean(S[0])), float(np.mean(S[1])), alpha])
-    return Table(header, rows)
-
-
-def run_concentration_experiment(cfg: ExperimentConfig) -> Table:
-    """Spread of the statistic under the null model across trajectory lengths."""
-    if cfg.replications < 10:
-        raise ValueError("concentration needs at least 10 replications")
-    tc = cfg.test_config
-    header = ["n", "mean_S", "std_S", "cv"] + [f"exceed_{c:g}" for c in EXCEEDANCE_LEVELS]
-    rows = []
-    for k, n in enumerate(cfg.n_values):
-        seed = derive_seed(tc.seed, TAG_EXPERIMENT, k)
-        values = statistic_samples(cfg.null_model, n, tc, cfg.replications, seed)
-        est = RadiusEstimate.of(values)
-        cv = est.std / est.mean if est.mean > 0 else float("nan")
-        exceed = [float(np.mean(np.abs(values - est.mean) > c * n)) for c in EXCEEDANCE_LEVELS]
-        rows.append([n, est.mean, est.std, cv] + exceed)
-    return Table(header, rows)
-
-
 def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: int) -> TailDiagnostic:
     """Fit the power-law exponent of the conditional probability spectrum.
 
@@ -168,6 +131,7 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
     and fits the log-log slope of the per-bin density over the region at
     and above the degree-10 probability.
     """
+    n = _integer("n", n)
     if n < 1000:
         raise ValueError("tail diagnostic needs n >= 1000")
     if _integer("replications", replications) < 1:
@@ -247,40 +211,65 @@ def calibrate_D(m1: ModelSpec, n: int, cfg: TestConfig, replications: int, seed:
     )
 
 
-def run_tail_experiment(cfg: ExperimentConfig) -> Table:
-    header = ["n", "fitted_gamma", "populated_tail_bins", "degenerate"]
-    rows = []
-    for k, n in enumerate(cfg.n_values):
-        diag = tail_exponent_diagnostic(
-            cfg.null_model, n, cfg.replications, derive_seed(cfg.test_config.seed, TAG_EXPERIMENT, k)
-        )
-        rows.append([n, diag.fitted_gamma, diag.populated_tail_bins, int(diag.degenerate)])
-    return Table(header, rows)
+def _success_row(cfg: ExperimentConfig, k: int, n: int) -> list:
+    """Accuracy of the test on trajectories from both hypotheses.
 
-
-def run_calibration_experiment(cfg: ExperimentConfig) -> Table:
-    if cfg.alt_model is None or cfg.alt_model == cfg.null_model:
-        raise ValueError("degenerate config: alternative must differ from the null model")
+    The threshold radius is estimated once from the null model and shared
+    by all tested trajectories, which are rejected when S > alpha; success
+    combines the per-hypothesis accuracies with equal priors.
+    """
     tc = cfg.test_config
-    header = ["n", "D_suggested", "radius_M0_mean", "radius_M0_std",
-              "radius_M1_mean", "radius_M1_std", "cross_mean", "dn"]
-    rows = []
-    for k, n in enumerate(cfg.n_values):
-        cal = calibrate_D(cfg.alt_model, n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, 100 + k))
-        rows.append(
-            [n, cal.D_suggested, cal.radius_null.mean, cal.radius_null.std,
-             cal.radius_alt.mean, cal.radius_alt.std, cal.cross_mean, cal.dn]
-        )
-    return Table(header, rows)
+    reps = range(cfg.replications)
+    alpha = threshold_radius(tc, n, derive_seed(tc.seed, TAG_EXPERIMENT, k, 0)).mean + tc.D / 2
+    S = [
+        statistics(model, n, tc, [derive_seed(tc.seed, TAG_EXPERIMENT, k, 1 + hyp, i) for i in reps],
+                   [stream(derive_seed(tc.seed, TAG_EXPERIMENT, k, 3 + hyp, i), TAG_PROBES, 0) for i in reps])
+        for hyp, model in enumerate((cfg.null_model, cfg.alt_model))
+    ]
+    acc0, acc1 = (np.count_nonzero((S[hyp] > alpha) == hyp) / cfg.replications for hyp in (0, 1))
+    return [n, acc0, acc1, (acc0 + acc1) / 2, float(np.mean(S[0])), float(np.mean(S[1])), alpha]
 
 
-_RUNNERS = {
-    EXPERIMENT_SUCCESS: run_success_experiment,
-    EXPERIMENT_CONCENTRATION: run_concentration_experiment,
-    EXPERIMENT_TAIL: run_tail_experiment,
-    EXPERIMENT_CALIBRATION: run_calibration_experiment,
+def _concentration_row(cfg: ExperimentConfig, k: int, n: int) -> list:
+    """Spread of the statistic under the null model at one trajectory length."""
+    tc = cfg.test_config
+    values = statistic_samples(cfg.null_model, n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, k))
+    est = RadiusEstimate.of(values)
+    cv = est.std / est.mean if est.mean > 0 else float("nan")
+    return [n, est.mean, est.std, cv] + [float(np.mean(np.abs(values - est.mean) > c * n)) for c in EXCEEDANCE_LEVELS]
+
+
+def _tail_row(cfg: ExperimentConfig, k: int, n: int) -> list:
+    diag = tail_exponent_diagnostic(
+        cfg.null_model, n, cfg.replications, derive_seed(cfg.test_config.seed, TAG_EXPERIMENT, k)
+    )
+    return [n, diag.fitted_gamma, diag.populated_tail_bins, int(diag.degenerate)]
+
+
+def _calibration_row(cfg: ExperimentConfig, k: int, n: int) -> list:
+    tc = cfg.test_config
+    cal = calibrate_D(cfg.alt_model, n, tc, cfg.replications, derive_seed(tc.seed, TAG_EXPERIMENT, 100 + k))
+    return [n, cal.D_suggested, cal.radius_null.mean, cal.radius_null.std,
+            cal.radius_alt.mean, cal.radius_alt.std, cal.cross_mean, cal.dn]
+
+
+# Each experiment's CSV header and row(cfg, k, n), the row of the k-th trajectory length n; each row's random
+# streams derive from the test config's seed and k alone.
+_EXPERIMENTS = {
+    EXPERIMENT_SUCCESS: (("n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"), _success_row),
+    EXPERIMENT_CONCENTRATION: (("n", "mean_S", "std_S", "cv", *(f"exceed_{c:g}" for c in EXCEEDANCE_LEVELS)),
+                               _concentration_row),
+    EXPERIMENT_TAIL: (("n", "fitted_gamma", "populated_tail_bins", "degenerate"), _tail_row),
+    EXPERIMENT_CALIBRATION: (("n", "D_suggested", "radius_M0_mean", "radius_M0_std",
+                              "radius_M1_mean", "radius_M1_std", "cross_mean", "dn"), _calibration_row),
 }
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def experiment_table(cfg: ExperimentConfig) -> Table:
+    """cfg's experiment as a table: its header, then one row per trajectory length of cfg.n_values."""
+    header, row = _EXPERIMENTS[cfg.experiment]
+    return Table(list(header), [row(cfg, k, n) for k, n in enumerate(cfg.n_values)])
 
 
 # --- persistence ---
@@ -396,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     An explicit output_path is used verbatim (reruns are byte-identical);
     otherwise a timestamped name is generated.
     """
-    table = _RUNNERS[cfg.experiment](cfg)
+    table = experiment_table(cfg)
     csv_path = cfg.output_path or _default_output_path(cfg)
     write_csv(csv_path, table)
     json_path = manifest_path(csv_path)

@@ -91,9 +91,10 @@ def _plan_rule(width, points=None, ndim: int = 1) -> tuple[np.ndarray | None, in
 def probe_points(n: int, count: int, width: int, rngs: list) -> np.ndarray:
     """Row k of the (len(rngs), count) result: rngs[k]'s uniform draws from {2, ..., n+1-width}, sorted.
 
-    Draws are with replacement; the range keeps every window [r, r+width) inside the trajectory. The horizon
-    (first: a config's width at n <= 0 is 0), width and count are checked before any draw.
+    Draws are with replacement; the range keeps every window [r, r+width) inside the trajectory. The integer n,
+    the horizon (first: a config's width at n <= 0 is 0), width and count are checked before any draw.
     """
+    n = _integer("n", n)
     if n < _integer("width", width) + 2:
         raise ValueError("infeasible config: window exceeds horizon")
     _, width = _plan_rule(width)

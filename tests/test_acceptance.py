@@ -29,8 +29,7 @@ from dyngof.harness import (
     EXPERIMENT_SUCCESS,
     ExperimentConfig,
     calibrate_D,
-    run_concentration_experiment,
-    run_success_experiment,
+    experiment_table,
     tail_exponent_diagnostic,
 )
 from dyngof.models import (
@@ -138,7 +137,7 @@ def test_criterion_4_concentration_trend():
             replications=50,
             test_config=tc,
         )
-        table = run_concentration_experiment(cfg)
+        table = experiment_table(cfg)
         cv = [row[table.header.index("cv")] for row in table.rows]
         assert all(b < a for a, b in zip(cv, cv[1:])), f"cv not strictly decreasing: {cv}"
         exceed_at_4000 = table.rows[-1][table.header.index("exceed_0.05")]
@@ -161,7 +160,7 @@ def test_criterion_5_distinguishability_with_calibrated_threshold():
             replications=100,
             test_config=tc,
         )
-        table = run_success_experiment(cfg)
+        table = experiment_table(cfg)
         success = {row[0]: row[table.header.index("success")] for row in table.rows}
         assert success[2000] >= 0.95, f"success at n=2000: {success[2000]}"
         assert success[2000] >= success[500] - 0.05, f"success rates: {success}"

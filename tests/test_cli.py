@@ -492,6 +492,23 @@ class TestExperimentCommand:
         assert (proc.returncode, proc.stderr, proc.stdout) == (2, "error: unknown experiment 'radius-scan'\n", "")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "success-rate", "alt_model": {"kind": "uniform", "m": 2}},
+         "null and alternative models disagree on edges per arrival"),
+        ({"experiment": "success-rate"}, "degenerate config: alternative must differ from the null model"),
+        ({"experiment": "calibration", "alt_model": {"kind": "pa"}},
+         "degenerate config: alternative must differ from the null model"),
+        ({"replications": 9}, "concentration needs at least 10 replications"),
+    ], ids=["different-m", "success-without-alternative", "calibration-against-itself", "concentration-9"])
+    def test_what_an_experiment_needs_is_checked_before_it_runs(self, tmp_path, capsys, config, message):
+        config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
+                  "n_values": [40], "replications": 10, "test_config": {"seed": 4}, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 @pytest.mark.parametrize("argv", [
     "generate --model pa --n 50 --out {tmp}/x.traj",

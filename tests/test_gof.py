@@ -189,6 +189,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name}: expected an integer, got {value!r}$"):
             entry(*args)
 
+    @pytest.mark.parametrize("entry, args, value", [
+        (dn_estimate, (PA, UNI, "50", 2, 1), "50"),
+        (statistic_samples, (PA, "50", TestConfig(null_model=PA), 2, 1), "50"),
+        (sampling_radius_estimate, ("50", TestConfig(null_model=PA), 2, 1), "50"),
+        (calibrate_D, (UNI, "50", TestConfig(null_model=PA), 10, 1), "50"),
+        (tail_exponent_diagnostic, (PA, "5000", 2, 1), "5000"),
+        (sampling.probe_points, ("50", 3, 2, [np.random.default_rng(1)]), "50"),
+    ], ids=["dn", "samples", "radius", "calibration", "tail", "probe-points"])
+    def test_string_n_is_named_before_any_arithmetic(self, entry, args, value):
+        with pytest.raises(ValueError, match=f"^n: expected an integer, got '{value}'$"):
+            entry(*args)
+
+    def test_statistic_samples_needs_a_replication(self):
+        with pytest.raises(ValueError, match="^need at least one replication$"):
+            statistic_samples(PA, 50, TestConfig(null_model=PA), 0, 1)
+
     @pytest.mark.parametrize("replications", [2.7, "3"])
     def test_rejects_non_integral_alpha_replications(self, replications):
         with pytest.raises(ValueError, match="replications: expected an integer"):

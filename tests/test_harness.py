@@ -7,6 +7,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
+from dyngof import harness
 from dyngof.gof import (
     FixedAlpha,
     SampledAlpha,
@@ -31,13 +32,10 @@ from dyngof.harness import (
     calibrate_D,
     config_from_dict,
     config_to_dict,
+    experiment_table,
     manifest_path,
     read_csv,
-    run_calibration_experiment,
-    run_concentration_experiment,
     run_experiment,
-    run_success_experiment,
-    run_tail_experiment,
     tail_exponent_diagnostic,
     write_csv,
 )
@@ -116,6 +114,14 @@ class TestExperimentConfig:
     def test_rejects_non_integer_sizes(self, field):
         with pytest.raises(ValueError, match="expected an integer"):
             base_config(EXPERIMENT_SUCCESS, **field)
+
+    def test_rejects_models_of_different_m(self):
+        with pytest.raises(ValueError, match="^null and alternative models disagree on edges per arrival$"):
+            base_config(EXPERIMENT_SUCCESS, alt=uniform_attach(m=2))
+
+    def test_rejects_unknown_alpha_mode(self):
+        with pytest.raises(ValueError, match=r"^unknown alpha mode 'bogus' \(use 'sampled' or 'fixed'\)$"):
+            config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "alpha_mode": {"mode": "bogus"}})
 
     def test_accepts_numpy_integers(self):
         cfg = base_config(EXPERIMENT_SUCCESS, n_values=np.array([60, 90]), replications=np.int64(4))
@@ -338,13 +344,15 @@ class TestConfigCodec:
 
 class TestSuccessExperiment:
     def test_degenerate_config_flagged(self):
-        with pytest.raises(ValueError, match="degenerate config"):
-            run_success_experiment(base_config(EXPERIMENT_SUCCESS, alt=PA))
-        with pytest.raises(ValueError, match="degenerate config"):
-            run_success_experiment(base_config(EXPERIMENT_SUCCESS, alt=None))
+        # Success rate and calibration both need a distinct alternative, and say so when the config is built.
+        message = "^degenerate config: alternative must differ from the null model$"
+        for experiment in (EXPERIMENT_SUCCESS, EXPERIMENT_CALIBRATION):
+            for alt in (PA, ModelSpec("pa", label="pa-again"), None):  # a label does not take part in ==
+                with pytest.raises(ValueError, match=message):
+                    base_config(experiment, alt=alt, replications=10)
 
     def test_row_shape_and_ranges(self):
-        table = run_success_experiment(base_config(EXPERIMENT_SUCCESS))
+        table = experiment_table(base_config(EXPERIMENT_SUCCESS))
         assert table.header == ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"]
         assert [row[0] for row in table.rows] == [60, 90]
         for row in table.rows:
@@ -355,20 +363,18 @@ class TestSuccessExperiment:
             assert alpha == 5.0 + 2.0 / 2
 
     def test_reproducible(self):
-        a = run_success_experiment(base_config(EXPERIMENT_SUCCESS))
-        b = run_success_experiment(base_config(EXPERIMENT_SUCCESS))
+        a = experiment_table(base_config(EXPERIMENT_SUCCESS))
+        b = experiment_table(base_config(EXPERIMENT_SUCCESS))
         assert a == b
 
 
 class TestConcentrationExperiment:
     def test_needs_replications(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            run_concentration_experiment(base_config(EXPERIMENT_CONCENTRATION, replications=5))
+        with pytest.raises(ValueError, match="^concentration needs at least 10 replications$"):
+            base_config(EXPERIMENT_CONCENTRATION, replications=5)
 
     def test_columns_and_nesting(self):
-        table = run_concentration_experiment(
-            base_config(EXPERIMENT_CONCENTRATION, replications=12)
-        )
+        table = experiment_table(base_config(EXPERIMENT_CONCENTRATION, replications=12))
         assert table.header[:4] == ["n", "mean_S", "std_S", "cv"]
         for row in table.rows:
             exceed = dict(zip(table.header[4:], row[4:]))
@@ -435,6 +441,11 @@ class TestCalibrateD:
         with pytest.raises(ValueError, match="models not separated"):
             calibrate_D(pref_attach(), 100, TestConfig(null_model=PA, D=1.0), 10, seed=5)
 
+    def test_distinct_models_not_separated(self):
+        # An alternative this close to the null scores no higher than the null's radius at this n.
+        with pytest.raises(ValueError, match="^models not separated at this n$"):
+            calibrate_D(affine_pref_attach(0.01), 60, TestConfig(null_model=PA), 10, seed=0)
+
     def test_separation_measured(self):
         cal = calibrate_D(UNI, 200, TestConfig(null_model=PA, D=1.0), 12, seed=6)
         assert cal.D_suggested > 0
@@ -474,18 +485,43 @@ class TestCalibrateD:
 class TestOtherRunners:
     def test_tail_experiment(self):
         cfg = base_config(EXPERIMENT_TAIL, n_values=(1200,), replications=2)
-        table = run_tail_experiment(cfg)
+        table = experiment_table(cfg)
         assert table.header == ["n", "fitted_gamma", "populated_tail_bins", "degenerate"]
         assert table.rows[0][3] == 0
 
     def test_calibration_experiment(self):
         cfg = base_config(EXPERIMENT_CALIBRATION, n_values=(150,), replications=10)
-        table = run_calibration_experiment(cfg)
+        table = experiment_table(cfg)
         assert table.rows[0][1] > 0  # D_suggested
 
 
+# Each experiment's CSV header, as README documents it.
+HEADERS = {
+    EXPERIMENT_SUCCESS: ["n", "acc_M0", "acc_M1", "success", "mean_S_M0", "mean_S_M1", "alpha"],
+    EXPERIMENT_CONCENTRATION: ["n", "mean_S", "std_S", "cv", "exceed_0.01", "exceed_0.02", "exceed_0.05"],
+    EXPERIMENT_TAIL: ["n", "fitted_gamma", "populated_tail_bins", "degenerate"],
+    EXPERIMENT_CALIBRATION: ["n", "D_suggested", "radius_M0_mean", "radius_M0_std",
+                             "radius_M1_mean", "radius_M1_std", "cross_mean", "dn"],
+}
+
+
+@pytest.mark.parametrize("experiment, kwargs", [
+    (EXPERIMENT_SUCCESS, {}),
+    (EXPERIMENT_CONCENTRATION, {"replications": 10}),
+    (EXPERIMENT_TAIL, {"n_values": (1000, 1200), "replications": 1}),
+    (EXPERIMENT_CALIBRATION, {"n_values": (150,), "replications": 10}),
+])
+def test_experiment_table_has_the_documented_header_and_a_full_row_per_n(experiment, kwargs):
+    cfg = base_config(experiment, **kwargs)
+    table = experiment_table(cfg)
+    assert table.header == HEADERS[experiment]
+    assert [row[0] for row in table.rows] == list(cfg.n_values)
+    assert all(len(row) == len(table.header) for row in table.rows)
+    assert harness.EXPERIMENTS == tuple(harness._EXPERIMENTS) == tuple(HEADERS)
+
+
 class TestFractionsReachTheRuns:
-    """Each runner scores with its test config's width and probe fractions, not the defaults."""
+    """Each experiment scores with its test config's width and probe fractions, not the defaults."""
 
     FRACTIONS = {"width_fraction": 0.2, "probe_fraction": 0.3}
 
@@ -493,14 +529,14 @@ class TestFractionsReachTheRuns:
         cfg = base_config(experiment, **kwargs)
         return ExperimentConfig(**{**cfg.__dict__, "test_config": replace(cfg.test_config, **fractions)})
 
-    def rows(self, runner, experiment, **kwargs):
+    def rows(self, experiment, **kwargs):
         cfg = self.config(experiment, self.FRACTIONS, **kwargs)
-        rows = runner(cfg).rows
-        assert rows != runner(self.config(experiment, {}, **kwargs)).rows
+        rows = experiment_table(cfg).rows
+        assert rows != experiment_table(self.config(experiment, {}, **kwargs)).rows
         return cfg.test_config, rows
 
     def test_success_rate(self):
-        tc, rows = self.rows(run_success_experiment, EXPERIMENT_SUCCESS)
+        tc, rows = self.rows(EXPERIMENT_SUCCESS)
         for k, (n, acc0, acc1, _, mean0, mean1, alpha) in enumerate(rows):
             for hyp, model, acc, mean in ((0, PA, acc0, mean0), (1, UNI, acc1, mean1)):
                 # Replication i's trajectory seed and probe stream are those test_dynamic_graph draws from.
@@ -512,13 +548,13 @@ class TestFractionsReachTheRuns:
                 assert mean == float(np.mean([report.S for report in reports]))
 
     def test_concentration(self):
-        tc, rows = self.rows(run_concentration_experiment, EXPERIMENT_CONCENTRATION, replications=10)
+        tc, rows = self.rows(EXPERIMENT_CONCENTRATION, replications=10)
         for k, row in enumerate(rows):
             est = sampling_radius_estimate(row[0], tc, 10, derive_seed(tc.seed, TAG_EXPERIMENT, k))
             assert row[1:4] == [est.mean, est.std, est.std / est.mean]
 
     def test_calibration(self):
-        tc, rows = self.rows(run_calibration_experiment, EXPERIMENT_CALIBRATION, n_values=(150,), replications=10)
+        tc, rows = self.rows(EXPERIMENT_CALIBRATION, n_values=(150,), replications=10)
         cal = calibrate_D(UNI, 150, tc, 10, derive_seed(tc.seed, TAG_EXPERIMENT, 100))
         assert rows == [[150, cal.D_suggested, cal.radius_null.mean, cal.radius_null.std,
                          cal.radius_alt.mean, cal.radius_alt.std, cal.cross_mean, cal.dn]]

@@ -18,7 +18,7 @@ import pytest
 
 from dyngof import gof, sampling
 from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, dn_summands, statistic_samples
-from dyngof.harness import ExperimentConfig, run_success_experiment
+from dyngof.harness import ExperimentConfig, experiment_table
 from dyngof.models import affine_pref_attach, pref_attach, sample_choices, sample_trajectory, uniform_attach
 
 SEEDS = (1, 2, 3, 7919)
@@ -139,7 +139,7 @@ SUCCESS_CASES = {
 }
 SUCCESS_ALPHA = {"sampled": SampledAlpha(4), "fixed": FixedAlpha(6.0)}
 
-# (null/alt, alpha mode, seed) -> each run_success_experiment row, its floats
+# (null/alt, alpha mode, seed) -> each success-rate experiment_table row, its floats
 # as float.hex(). Recorded when every replication was drawn by its own
 # sample_trajectory call and decided by test_dynamic_graph.
 GOLDEN_SUCCESS = {
@@ -239,8 +239,8 @@ def test_dn_estimate_bits_unchanged(case, seed):
 def test_success_experiment_bits_unchanged(case, mode, seed):
     null, alt = SUCCESS_CASES[case]
     tc = TestConfig(null_model=null, D=12.0, alpha_mode=SUCCESS_ALPHA[mode], seed=seed)
-    rows = run_success_experiment(ExperimentConfig(experiment="success-rate", null_model=null, alt_model=alt,
-                                                   n_values=(40, 150), replications=6, test_config=tc)).rows
+    rows = experiment_table(ExperimentConfig(experiment="success-rate", null_model=null, alt_model=alt,
+                                             n_values=(40, 150), replications=6, test_config=tc)).rows
     got = tuple(tuple(v if isinstance(v, int) else float(v).hex() for v in row) for row in rows)
     assert got == GOLDEN_SUCCESS[case, mode, seed]
 

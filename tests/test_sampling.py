@@ -292,6 +292,11 @@ class TestCountingFunction:
         with pytest.raises(ValueError, match="domain mismatch"):
             counting_function(pv([1.0]), pv([0.5, 0.5]))
 
+    def test_empty_empirical_measure(self):
+        emp = EmpiricalMeasure(t=3, width=2, counts={}, denom=0)
+        with pytest.raises(ValueError, match="^empty empirical measure$"):
+            counting_function(emp, pv([0.5, 0.5]))
+
 
 class TestTvViaCounting:
     def test_zero_on_identical(self):
