@@ -353,13 +353,14 @@ def _from_dict(cls, d: dict, where: str):
                     path = f.name if cls is ExperimentConfig else f"{where}.{f.name}"
                     value = _from_dict(_SUB_OBJECTS[f.name], value, path)
                 kwargs[f.name] = value
-        obj = cls(**kwargs)
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r} in {where}") from None
-    unknown = d.keys() - config_to_dict(obj)
+    # Every key is a field the loop read, or an alpha mode's "mode". This is checked before construction, so a
+    # misspelled key is named rather than a fault that its absence causes.
+    unknown = d.keys() - kwargs.keys() - ({"mode"} if cls in _ALPHA_MODES.values() else set())
     if unknown:
         raise ValueError(f"unknown field {min(unknown)!r} in {where}")
-    return obj
+    return cls(**kwargs)
 
 
 class ExperimentResult(NamedTuple):

@@ -369,6 +369,10 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("config, message", [
         ({"replicatons": 5}, "unknown field 'replicatons' in experiment config"),
+        # Named before the fault that the key's absence causes: 5 replications, or no alternative.
+        ({"replicatons": 10, "replications": 5}, "unknown field 'replicatons' in experiment config"),
+        ({"experiment": "success-rate", "alt_modle": {"kind": "uniform"}},
+         "unknown field 'alt_modle' in experiment config"),
         ({"null_model": {"kind": "pa", "mm": 2}}, "unknown field 'mm' in null_model"),
         ({"alt_model": {"kind": "uniform", "mm": 2}}, "unknown field 'mm' in alt_model"),
         ({"test_config": {"seed": 4, "Dee": 3.0}}, "unknown field 'Dee' in test_config"),
@@ -381,8 +385,8 @@ class TestExperimentCommand:
          "unknown field 'replications' in test_config.alpha_mode"),
         ({"test_config": {"seed": 4, "alpha_mode": {"mode": "sampled", "radius": 1.0}}},
          "unknown field 'radius' in test_config.alpha_mode"),
-    ], ids=["top", "null-model", "alt-model", "test-config-D", "test-config-width", "test-config-null-model",
-            "sampled-alpha", "fixed-alpha", "sampled-alpha-radius"])
+    ], ids=["top", "top-with-5-replications", "success-rate-alt-model", "null-model", "alt-model", "test-config-D",
+            "test-config-width", "test-config-null-model", "sampled-alpha", "fixed-alpha", "sampled-alpha-radius"])
     def test_misspelled_config_key_is_named(self, tmp_path, config, message):
         config = {"experiment": "concentration", "null_model": {"kind": "pa", "m": 1},
                   "n_values": [40], "replications": 10, "test_config": {"seed": 4}, **config}
