@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sampling
-from .models import ModelSpec, Trajectory, _real, check_targets, sample_choices, sorted_hits
+from .models import ModelSpec, Trajectory, _real, check_targets, hit_keys, sample_choices, stack_shape
 from .rng import TAG_DISTANCE, TAG_PROBES, TAG_RADIUS, TAG_TRAJECTORY, _integer, derive_seed, stream
 from .sampling import ProbePlan, probe_points, probe_tvs_block, sample_probe_points
 
@@ -243,35 +243,53 @@ def dn_summands(m0: ModelSpec, m1: ModelSpec, choices: np.ndarray) -> list[float
 
     At state time j (j vertices, degrees d_v, total degree 2mj) model k
     puts mass (beta_k*d_v + a_k) / (N_k*j) on vertex v, N_k = 2m*beta_k + a_k.
-    So the one-step TV is H_j / (2*N0*N1*j) with H_j = sum_v g(d_v) and
-    g(d) = |A*d + B|, A = beta0*N1 - beta1*N0, B = a0*N1 - a1*N0. H grows
-    by g(m) per arrival and by g(d+1) - g(d) per hit on a vertex of degree
-    d, so one sort of the choices by target and time and one cumsum give
-    every H_j: O(n*m*log(n*m)) time, O(n*m) memory. With integer or
-    dyadic shifts every H_j is exact. The mean over trajectories drawn
-    from m1 is the model distance dn(m0, m1) at horizon n.
+    So the one-step TV is H_j / (2*N0*N1*j) with H_j = sum_v |A*d_v + B|,
+    A = beta0*N1 - beta1*N0 and B = a0*N1 - a1*N0. As 2m*A + B =
+    N0*N1 - N1*N0 = 0, H_j = |A| * I_j with the integer I_j = sum_v |d_v - 2m|.
+    An arrival adds m to I and each of its hits adds 1, except a hit on a
+    vertex below degree 2m: one of a vertex's first m hits, which subtracts
+    1. Vertex 1 starts at 2m, and its first m hits are arrival 2's choices.
+    So one sort of the hits by target and time (models.hit_keys) marks each
+    target's first m hits, one integer bincount counts them per row and one
+    integer cumsum gives every I_j: O(n*m*log(n*m)) time, and memory of a
+    few arrays of (n-1)*m entries, with no per-hit rank, degree or gain.
+    H_j is the correctly rounded |A| * I_j, exact with integer or dyadic
+    shifts. The mean over trajectories drawn from m1 is the model distance
+    dn(m0, m1) at horizon n.
 
-    models.sorted_hits gives every hit's row and degree before it. The
-    bincount of gains over the K*n rows adds each (replication, row) bin in
-    target order, as a lone trajectory's sort does, H runs its cumsum per
-    replication, and each keeps its own np.sum: no value depends on the block.
+    Each replication has its own rows in the bincount and keeps its own
+    np.sum, so no value depends on the block.
     """
-    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    reps, n, m = stack_shape(choices)
     if not m0.m == m1.m == m:
         raise ValueError("models and trajectory disagree on edges per arrival")
     n0 = 2 * m * m0.beta + m0.shift
     n1 = 2 * m * m1.beta + m1.shift
-    A = m0.beta * n1 - m1.beta * n0
-    B = m0.shift * n1 - m1.shift * n0
-    _, _, _, row, _, before = sorted_hits(choices)
-    gain = np.abs(A * (before + 1) + B) - np.abs(A * before + B)
+    key, shift = hit_keys(choices)
+    # Sorted by target, a hit is one of its target's first m hits exactly
+    # when the hit m places earlier has another target.
+    target = key >> shift
+    first = np.empty(key.size, dtype=bool)
+    first[:m] = True
+    np.not_equal(target[m:], target[:-m], out=first[m:])
+    del target
+    rows = key[first]
+    del key, first
+    rows &= (1 << shift) - 1
+    rows //= m
+    firsts = np.bincount(rows, minlength=reps * n).reshape(reps, n)
+    del rows
+    firsts[:, 0] -= m  # arrival 2's hits on vertex 1, which starts at 2m, each add 1
+    # I_1 = |2m - 2m| = 0, and arrival row + 2 adds 2m - 2 * its first hits.
+    # Arrival n never conditions a state, so only rows 0..n-3 count.
+    steps = firsts[:, : n - 2]
+    steps -= m
+    steps *= -2
+    np.cumsum(steps, axis=1, out=steps)
     H = np.empty((reps, n - 1))
-    # g(2m) = |N0*N1 - N1*N0| = 0: at j = 1 both laws put all mass on vertex 1.
     H[:, 0] = 0.0
-    # Arrival n never conditions a state, so only arrivals 2..n-1 (rows 0..n-3) count.
-    hits = np.bincount(row, weights=gain, minlength=reps * n).reshape(reps, n)[:, : n - 2]
-    np.add(hits, abs(A * m + B), out=H[:, 1:])
-    np.cumsum(H, axis=1, out=H)
+    np.multiply(steps, abs(m0.beta * n1 - m1.beta * n0), out=H[:, 1:])
+    del firsts, steps
     H /= 2 * n0 * n1 * np.arange(1, n)  # each step's TV
     np.clip(H, 0.0, 1.0, out=H)
     return [0.5 * float(np.sum(tv)) for tv in H]

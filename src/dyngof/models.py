@@ -355,24 +355,43 @@ def sample_choices(model: ModelSpec, n: int, seeds: list[int]) -> np.ndarray:
     return x
 
 
-def sorted_hits(choices: np.ndarray) -> tuple:
-    """Every hit of a (K, n-1, m) stack, ordered by replication, target and time.
+def stack_shape(choices: np.ndarray) -> tuple[int, int, int]:
+    """(K, n, m) of a (K, n-1, m) stack of choices; any other shape, or an empty one, raises ValueError."""
+    if choices.ndim != 3 or 0 in choices.shape:
+        raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
+    return choices.shape[0], choices.shape[1] + 1, choices.shape[2]
 
-    Replication k's vertex v is k*n + v, its row k*n + row and its element
-    e = row*m + j is k*n*m + e; one sort of the distinct keys
-    (vertex << shift) | element gives a stable argsort's order. Returns
-    (key, shift, target, row, rank, degree). rank counts earlier hits on the
-    target; degree = rank + m, plus m on vertex 1, is the target's degree
-    before the arrival plus that arrival's earlier hits on it.
+
+def hit_keys(choices: np.ndarray) -> tuple[np.ndarray, int]:
+    """The sorted keys (vertex << shift) | element of every hit of a (K, n-1, m) stack, and shift.
+
+    Replication k's vertex v is k*n + v and its element e = row*m + j is
+    k*n*m + e, so element // m is its row k*n + row. The keys are distinct,
+    so one sort orders the hits by replication, target and time, as a
+    stable argsort would.
     """
     reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
-    origin = np.arange(0, reps * n, n)[:, None]  # each replication's vertex and row 0
     shift = (reps * n * m).bit_length()
     key = np.left_shift(choices.reshape(reps, -1), shift, dtype=np.int64)
-    key += origin << shift
+    key += np.arange(0, reps * n, n)[:, None] << shift
     key |= np.arange(reps * n * m).reshape(reps, n * m)[:, : key.shape[1]]
     key = key.ravel()
     key.sort()
+    return key, shift
+
+
+def sorted_hits(choices: np.ndarray) -> tuple:
+    """Every hit of a (K, n-1, m) stack, ordered by replication, target and time.
+
+    The statistic kernel, sampling.probe_tvs_block, is its one caller.
+    Returns (key, shift, target, row, rank, degree): hit_keys' keys and
+    shift, each hit's target k*n + v and row k*n + row, its rank (the
+    earlier hits on the target) and degree = rank + m, plus m on vertex 1:
+    the target's degree before the arrival plus that arrival's earlier hits
+    on it.
+    """
+    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    key, shift = hit_keys(choices)
     target, row = key >> shift, (key & ((1 << shift) - 1)) // m
     # A hit's rank is its distance from the start of its target's run; one
     # running maximum of the run starts gives every run's start.
@@ -382,7 +401,7 @@ def sorted_hits(choices: np.ndarray) -> tuple:
     np.not_equal(target[1:], target[:-1], out=run_start[1:])
     rank = index - np.maximum.accumulate(np.where(run_start, index, 0))
     degree = rank + m
-    degree[(target.reshape(reps, -1) == origin + 1).ravel()] += m  # vertex 1 starts at 2m
+    degree[(target.reshape(reps, -1) == np.arange(1, reps * n, n)[:, None]).ravel()] += m  # vertex 1 starts at 2m
     return key, shift, target, row, rank, degree
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import ModelSpec, ProbVector, Trajectory, _integer_array, sorted_hits
+from .models import ModelSpec, ProbVector, Trajectory, _integer_array, sorted_hits, stack_shape
 from .rng import _integer
 
 # Candidate (probe, vertex) pairs evaluated per batch in probe_tvs_block. It
@@ -159,8 +159,9 @@ def probe_tvs_block(
     lam * w_v > 1, in batches of BATCH_ELEMENTS pairs.
 
     choices is the (K, n-1, m) stack of the K trajectories' choices, as
-    models.sample_choices draws it, and gives the block's n and m; it is
-    read as valid trajectories and not checked. nulls is a nonempty list of
+    models.sample_choices draws it, and gives the block's n and m;
+    models.stack_shape checks its shape, and its targets are read as valid
+    and not checked. nulls is a nonempty list of
     models with the block's m. Row k of the (K, M) points and width must be
     a ProbePlan's whose windows fit n, or ValueError is raised.
     models.sorted_hits orders the block's hits by replication, target and
@@ -174,9 +175,7 @@ def probe_tvs_block(
     entry j against nulls[j], and the kept counts once, each of the K*M
     probes in block order.
     """
-    if choices.ndim != 3 or 0 in choices.shape:
-        raise ValueError(f"choices must be a nonempty stack of shape (K, n-1, m), got {choices.shape}")
-    reps, n, m = choices.shape[0], choices.shape[1] + 1, choices.shape[2]
+    reps, n, m = stack_shape(choices)
     if not isinstance(nulls, (list, tuple)) or not all(isinstance(null, ModelSpec) for null in nulls):
         raise ValueError(f"nulls must be a list of models, got {nulls!r}")
     if not nulls:
