@@ -73,6 +73,10 @@ class TestConfig:
             raise ValueError("width_fraction must be in (0, 1)")
         if not 0 < self.probe_fraction < 1:
             raise ValueError("probe_fraction must be in (0, 1)")
+        if not isinstance(self.alpha_mode, (SampledAlpha, FixedAlpha)):
+            raise ValueError(f"alpha_mode must be a SampledAlpha or a FixedAlpha, got {self.alpha_mode!r}")
+        if isinstance(self.alpha_mode, FixedAlpha) and not math.isfinite(self.alpha_mode.radius + self.D / 2):
+            raise ValueError(f"alpha_mode: the fixed radius {self.alpha_mode.radius} plus D/2 must be finite")
 
     def width_for(self, n: int) -> int:
         return math.ceil(self.width_fraction * n)
@@ -155,20 +159,23 @@ def test_statistic(traj: Trajectory, null_model: ModelSpec, plan: ProbePlan) -> 
     return StatisticResult(S=float(probe_sum(tvs)), per_probe_tv=list(tvs), kept=int(kept.sum()))
 
 
-def replication_blocks(model: ModelSpec, n: int, seeds: list[int]):
-    """Yield (block, choices): a range of seed indices and the stack one sample_choices call draws from them.
+def replicate(model: ModelSpec, n: int, seeds: list[int], score) -> np.ndarray:
+    """score(choices, at) of each block of seeds, joined along the last axis in replication order.
 
     The R seeds split into the number of blocks nearest R*(n-1)*m / sampling.BATCH_ELEMENTS, at least one and at
-    most R, as contiguous ranges whose sizes differ by at most one; one range check covers a block.
+    most R, as contiguous slices whose sizes differ by at most one. Each block is one sample_choices stack, range
+    checked once, and is freed before the next is drawn; at is its slice of seeds. No seeds give an empty array.
     """
     reps, n = len(seeds), _integer("n", n)
     count = min(reps, max(1, round(reps * (n - 1) * model.m / sampling.BATCH_ELEMENTS)))
+    scores = []
     for b in range(count):
-        block = range(b * reps // count, (b + 1) * reps // count)
-        choices = sample_choices(model, n, seeds[block.start : block.stop])
+        at = slice(b * reps // count, (b + 1) * reps // count)
+        choices = sample_choices(model, n, seeds[at])
         check_targets(choices)
-        yield block, choices
-        del choices  # as each consumer does, so no block is held while the next is drawn
+        scores.append(score(choices, at))
+        del choices  # so no block is held while sample_choices draws the next
+    return np.concatenate(scores, axis=-1) if scores else np.empty(0)
 
 
 def block_statistics(choices: np.ndarray, cfg: TestConfig, plan_rngs: list, nulls: list) -> np.ndarray:
@@ -186,17 +193,13 @@ def block_statistics(choices: np.ndarray, cfg: TestConfig, plan_rngs: list, null
 def statistics(gen_model: ModelSpec, n: int, cfg: TestConfig, traj_seeds: list, plan_rngs: list) -> np.ndarray:
     """S against cfg.null_model of gen_model's trajectory from traj_seeds[i], on a plan from plan_rngs[i].
 
-    block_statistics scores each block of replication_blocks.
+    replicate draws the blocks and block_statistics scores each.
     """
     n = _integer("n", n)
     # The horizon check names the window before sample_choices rejects n.
     probe_points(n, cfg.probes_for(n), cfg.width_for(n), [])
-    values = np.empty(len(traj_seeds))
-    for block, choices in replication_blocks(gen_model, n, traj_seeds):
-        at = slice(block.start, block.stop)
-        values[at] = block_statistics(choices, cfg, plan_rngs[at], [cfg.null_model])[0]
-        del choices
-    return values
+    return replicate(gen_model, n, traj_seeds,
+                     lambda choices, at: block_statistics(choices, cfg, plan_rngs[at], [cfg.null_model])[0])
 
 
 def replication_seeds(seed: int, replications: int) -> tuple[list[int], list]:
@@ -302,19 +305,16 @@ def dn_estimate(m0: ModelSpec, m1: ModelSpec, n: int, replications: int, seed: i
     conditioning states); at every step the two models' one-step
     conditional distributions given the realized state are compared in TV,
     summed over steps, halved, and averaged over replications. One
-    dn_summands pass, O(n*m*log(n*m)) per replication, scores each block of
-    replication_blocks; the summands are added in replication order.
+    dn_summands pass, O(n*m*log(n*m)) per replication, scores each block
+    replicate draws; the summands are added in replication order.
     """
     if _integer("replications", replications) < 1:
         raise ValueError("need at least one replication")
     if m0.m != m1.m:
         raise ValueError("models disagree on edges per arrival")
-    summands = []
     seeds = [derive_seed(seed, TAG_DISTANCE, i) for i in range(replications)]
-    for _, choices in replication_blocks(m1, n, seeds):
-        summands += dn_summands(m0, m1, choices)
-        del choices
-    return float(probe_sum(np.array(summands))) / replications
+    summands = replicate(m1, n, seeds, lambda choices, _: dn_summands(m0, m1, choices))
+    return float(probe_sum(summands)) / replications
 
 
 def test_dynamic_graph(traj: Trajectory, cfg: TestConfig) -> TestReport:

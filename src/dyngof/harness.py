@@ -26,7 +26,7 @@ from .gof import (
     block_statistics,
     dn_summands,
     probe_sum,
-    replication_blocks,
+    replicate,
     replication_seeds,
     sampling_radius_estimate,
     statistic_samples,
@@ -127,23 +127,24 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
     """Fit the power-law exponent of the conditional probability spectrum.
 
     Histograms the conditional probabilities at the end of simulated
-    trajectories into log-spaced bins, averages counts over replications,
-    and fits the log-log slope of the per-bin density over the region at
-    and above the degree-10 probability.
+    trajectories into log-spaced bins, averages counts over replications
+    (one histogram of the pooled spectra, divided by their number), and
+    fits the log-log slope of the per-bin density over the region at and
+    above the degree-10 probability.
     """
     n = _integer("n", n)
     if n < 1000:
         raise ValueError("tail diagnostic needs n >= 1000")
     if _integer("replications", replications) < 1:
         raise ValueError("need at least one replication")
-    # Equal degrees share one probability: a spectrum is its distinct probabilities weighted by vertex counts.
-    spectra = []
-    for _, choices in replication_blocks(model, n, [derive_seed(seed, TAG_TAIL, i) for i in range(replications)]):
-        uniques = [np.unique(final, return_counts=True) for final in final_degrees(choices[:, :-1])]
-        spectra += [(model.attachment_probability(degrees, n - 1), vertices) for degrees, vertices in uniques]
-        del choices
-    qmin = min(float(q.min()) for q, _ in spectra)
-    qmax = max(float(q.max()) for q, _ in spectra)
+
+    def spectra(choices, _):
+        # Equal degrees share one probability: a spectrum is its distinct probabilities weighted by vertex counts.
+        degrees, vertices = np.hstack([np.unique(row, return_counts=True) for row in final_degrees(choices[:, :-1])])
+        return np.vstack((model.attachment_probability(degrees, n - 1), vertices))
+
+    q, vertices = replicate(model, n, [derive_seed(seed, TAG_TAIL, i) for i in range(replications)], spectra)
+    qmin, qmax = float(q.min()), float(q.max())
     if qmin == qmax:
         edges = np.array([qmin * (1 - 1e-9), qmax * (1 + 1e-9)])
         counts = np.array([float(n - 1)])
@@ -153,7 +154,7 @@ def tail_exponent_diagnostic(model: ModelSpec, n: int, replications: int, seed: 
     edges = np.geomspace(qmin, qmax, TAIL_BINS + 1)
     edges[0] *= 1 - 1e-12
     edges[-1] *= 1 + 1e-12
-    counts = np.mean([np.histogram(q, bins=edges, weights=w)[0] for q, w in spectra], axis=0)
+    counts = np.histogram(q, bins=edges, weights=vertices)[0] / replications  # sums of integers: exact
     centers = np.sqrt(edges[:-1] * edges[1:])
     density = counts / np.diff(edges)
     q_fit_min = model.attachment_probability(TAIL_FIT_MIN_DEGREE, n - 1)
@@ -192,12 +193,8 @@ def calibrate_D(m1: ModelSpec, n: int, cfg: TestConfig, replications: int, seed:
         raise ValueError("models not separated at this n: identical mechanisms")
     radius_null = sampling_radius_estimate(n, cfg, replications, derive_seed(seed, TAG_EXPERIMENT, 0))
     traj_seeds, plan_rngs = replication_seeds(derive_seed(seed, TAG_EXPERIMENT, 1), replications)
-    alt, cross, dn = np.empty((3, replications))
-    for block, choices in replication_blocks(m1, n, traj_seeds):
-        at = slice(block.start, block.stop)
-        alt[at], cross[at] = block_statistics(choices, cfg, plan_rngs[at], [m1, m0])
-        dn[at] = dn_summands(m0, m1, choices)
-        del choices
+    alt, cross, dn = replicate(m1, n, traj_seeds, lambda choices, at: np.vstack(
+        (block_statistics(choices, cfg, plan_rngs[at], [m1, m0]), dn_summands(m0, m1, choices))))
     cross_mean = float(np.mean(cross))
     suggested = cross_mean - radius_null.mean
     if suggested <= 0:

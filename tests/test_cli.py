@@ -145,7 +145,7 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("flags", [
         ("--D", "nan"), ("--D", "inf"), ("--D", "1", "--alpha", "fixed:nan"),
-        ("--D", "1", "--alpha", "fixed:inf"),
+        ("--D", "1", "--alpha", "fixed:inf"), ("--D", "1e308", "--alpha", "fixed:1.7e308"),
     ])
     def test_nonfinite_threshold_is_error(self, pa_traj, flags):
         proc = run_cli("test", str(pa_traj), "--null-model", "pa", *flags, "--seed", "3")

@@ -131,6 +131,21 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="finite"):
                 FixedAlpha(radius=radius)
 
+    @pytest.mark.parametrize("mode", ["sampled", None, 32, {"mode": "fixed", "radius": 1.0}], ids=str)
+    def test_rejects_an_alpha_mode_that_is_not_a_mode(self, mode):
+        # Without the check "sampled" builds and test_dynamic_graph fails on mode.replications.
+        with pytest.raises(ValueError, match=r"^alpha_mode must be a SampledAlpha or a FixedAlpha, got "):
+            TestConfig(null_model=PA, alpha_mode=mode)
+
+    @pytest.mark.parametrize("radius, D", [(1.7e308, 1e308), (1.7976931348623157e308, 1e300)])
+    def test_rejects_a_fixed_threshold_past_float_range(self, radius, D):
+        # Each value is finite alone, but radius + D/2 is inf, which to_json writes as the non-JSON Infinity.
+        with pytest.raises(ValueError, match=r"^alpha_mode: the fixed radius .* plus D/2 must be finite$"):
+            TestConfig(null_model=PA, D=D, alpha_mode=FixedAlpha(radius))
+        TestConfig(null_model=PA, D=D, alpha_mode=SampledAlpha(2))  # a sampled radius is never that large
+        cfg = TestConfig(null_model=PA, D=1e308, alpha_mode=FixedAlpha(1e308))
+        assert cfg.alpha_mode.radius + cfg.D / 2 == 1.5e308
+
     @pytest.mark.parametrize("seed", [True, 4.9])
     def test_rejects_non_integral_seed(self, seed):
         with pytest.raises(ValueError, match="seed: expected an integer"):

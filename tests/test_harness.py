@@ -14,7 +14,7 @@ from dyngof.gof import (
     TestConfig,
     dn_summands,
     probe_sum,
-    replication_blocks,
+    replicate,
     sampling_radius_estimate,
     test_dynamic_graph,
 )
@@ -122,6 +122,12 @@ class TestExperimentConfig:
     def test_rejects_unknown_alpha_mode(self):
         with pytest.raises(ValueError, match=r"^unknown alpha mode 'bogus' \(use 'sampled' or 'fixed'\)$"):
             config_from_dict(TestConfig, {"null_model": {"kind": "pa"}, "alpha_mode": {"mode": "bogus"}})
+
+    def test_rejects_a_fixed_threshold_past_float_range(self):
+        d = config_to_dict(base_config(EXPERIMENT_SUCCESS))
+        d["test_config"].update(D=1e308, alpha_mode={"mode": "fixed", "radius": 1.7e308})
+        with pytest.raises(ValueError, match=r"^alpha_mode: the fixed radius 1\.7e\+308 plus D/2 must be finite$"):
+            config_from_dict(ExperimentConfig, d)
 
     def test_accepts_numpy_integers(self):
         cfg = base_config(EXPERIMENT_SUCCESS, n_values=np.array([60, 90]), replications=np.int64(4))
@@ -466,7 +472,7 @@ class TestCalibrateD:
         tc = TestConfig(null_model=PA, D=1.0)
         s0, s1 = derive_seed(seed, TAG_EXPERIMENT, 0), derive_seed(seed, TAG_EXPERIMENT, 1)
         traj_seeds = [derive_seed(s1, TAG_TRAJECTORY, i) for i in range(replications)]
-        assert [len(block) for block, _ in replication_blocks(UNI, n, traj_seeds)] == blocks
+        assert replicate(UNI, n, traj_seeds, lambda choices, _: [len(choices)]).tolist() == blocks
         probes, width = tc.probes_for(n), tc.width_for(n)
         cross, dn = [], 0.0
         for i, traj_seed in enumerate(traj_seeds):

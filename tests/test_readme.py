@@ -1,9 +1,10 @@
-"""README's commands against the code: every dyngof line parses, and every python block runs.
+"""README against the code: every dyngof line parses, every python block runs and every module name resolves.
 
 CI runs each dyngof line of README's sh blocks too; this test parses them with the CLI's own parser
 without running them, so a renamed or removed flag fails the Tier-1 suite.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -34,3 +35,11 @@ def test_every_python_block_runs(tmp_path, monkeypatch):
     assert blocks("python")
     for block in blocks("python"):
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_module_name_resolves():
+    names = set(re.findall(r"`(models|sampling|gof|harness|oracle|cli|rng)\.(\w+)", README))
+    assert names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"dyngof.{module}"), name)]
+    assert missing == []

@@ -1,24 +1,25 @@
 """Replications drawn and scored as one stacked choices array per block.
 
-statistic_samples, dn_estimate and the success-rate experiment draw each
-block of replications with one models.sample_choices call (through
-gof.replication_blocks) and score it in one stacked pass. The golden
+statistic_samples, dn_estimate, calibrate_D, the tail diagnostic and the
+success-rate experiment draw each block of replications with one
+models.sample_choices call (through the one driver, gof.replicate) and
+score it in one stacked pass. The golden
 values below were recorded before replications were stacked, when every
 replication was drawn by its own sample_trajectory call, dn was summed one
 trajectory at a time and the success-rate experiment decided each
 trajectory with test_dynamic_graph; they must not move. A changed value
 means a changed random stream or a changed float result.
 """
-
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from dyngof import gof, sampling
 from dyngof.gof import FixedAlpha, SampledAlpha, TestConfig, dn_estimate, dn_summands, statistic_samples
-from dyngof.harness import ExperimentConfig, experiment_table
+from dyngof.harness import ExperimentConfig, calibrate_D, experiment_table, tail_exponent_diagnostic
 from dyngof.models import affine_pref_attach, pref_attach, sample_choices, sample_trajectory, uniform_attach
 
 SEEDS = (1, 2, 3, 7919)
@@ -340,13 +341,24 @@ def expected_block_count(reps, n, m):
     return min(reps, max(1, round(reps * (n - 1) * m / sampling.BATCH_ELEMENTS)))
 
 
+def drawn_blocks(model, n, seeds):
+    """The slice and stack shape of each block replicate draws from seeds, in order, and its joined scores."""
+    blocks = []
+
+    def score(choices, at):
+        blocks.append((at, choices.shape))
+        return np.arange(at.start, at.stop)
+
+    return blocks, gof.replicate(model, n, seeds, score)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("reps", [1, 2, 3, 7, 10, 12, 32])
 def test_block_split_rule(reps, m):
     seeds = list(range(100, 100 + reps))
     for n in (2, 3, 300, 500, 700, 1000, 1366, 2049, 4097, 6000):
-        blocks = list(gof.replication_blocks(pref_attach(m), n, seeds))
-        ranges = [block for block, _ in blocks]
+        blocks, joined = drawn_blocks(pref_attach(m), n, seeds)
+        ranges = [range(reps)[at] for at, _ in blocks]
         assert [r.step for r in ranges] == [1] * len(ranges)
         assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
         assert ranges[-1].stop == reps
@@ -355,13 +367,58 @@ def test_block_split_rule(reps, m):
         assert len(ranges) == expected_block_count(reps, n, m)
         if (n - 1) * m >= sampling.BATCH_ELEMENTS:
             assert sizes == [1] * reps
-        for block, choices in blocks:
-            assert choices.shape == (len(block), n - 1, m)
+        for r, (_, shape) in zip(ranges, blocks):
+            assert shape == (len(r), n - 1, m)
+        np.testing.assert_array_equal(joined, np.arange(reps))
 
 
 @pytest.mark.parametrize("n, reps, sizes", [
     (500, 10, [10]), (1000, 8, [4, 4]), (1000, 32, [4] * 8), (1000, 10, [5, 5]), (5000, 3, [1, 1, 1]),
 ])
 def test_block_split_examples(n, reps, sizes):
-    got = [len(block) for block, _ in gof.replication_blocks(pref_attach(1), n, list(range(reps)))]
-    assert got == sizes
+    got = gof.replicate(pref_attach(1), n, list(range(reps)), lambda choices, _: [len(choices)])
+    assert got.tolist() == sizes
+
+
+def test_no_seeds_give_an_empty_array():
+    def score(choices, at):
+        raise AssertionError("a block was drawn from no seeds")
+
+    got = gof.replicate(pref_attach(1), 100, [], score)
+    assert got.shape == (0,) and got.dtype == np.float64
+    got = gof.statistics(pref_attach(1), 100, TestConfig(null_model=uniform_attach(1)), [], [])
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
+def success_rate(n, replications, seed):
+    null, alt = pref_attach(1), uniform_attach(1)
+    tc = TestConfig(null_model=null, D=12.0, alpha_mode=SampledAlpha(replications), seed=seed)
+    return experiment_table(ExperimentConfig(experiment="success-rate", null_model=null, alt_model=alt,
+                                             n_values=(n,), replications=replications, test_config=tc))
+
+
+# Each Monte Carlo entry point, at an n where the budget below puts one replication in a block.
+ENTRY_POINTS = {
+    "statistic-samples": lambda: statistic_samples(pref_attach(1), 300, TestConfig(null_model=pref_attach(1)), 4, 1),
+    "dn-estimate": lambda: dn_estimate(pref_attach(2), uniform_attach(2), 300, 4, 1),
+    "calibrate-D": lambda: calibrate_D(uniform_attach(1), 300, TestConfig(null_model=pref_attach(1)), 10, 1),
+    "tail-diagnostic": lambda: tail_exponent_diagnostic(pref_attach(1), 1200, 3, 1),
+    "success-rate": lambda: success_rate(300, 4, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_each_block_is_freed_before_the_next_is_drawn(entry, monkeypatch):
+    blocks = []
+
+    def draw(model, n, seeds):
+        assert all(block() is None for block in blocks), "a block is alive while the next is drawn"
+        choices = sample_choices(model, n, seeds)
+        blocks.append(weakref.ref(choices))
+        return choices
+
+    monkeypatch.setattr(gof, "sample_choices", draw)
+    monkeypatch.setattr(sampling, "BATCH_ELEMENTS", 256)
+    ENTRY_POINTS[entry]()
+    assert len(blocks) >= 3
+    assert all(block() is None for block in blocks)
