@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: generate, test, radius, distance, experiment, oracle.
-Estimation commands print a single JSON document on stdout; human-readable
-notes go to stderr. The test command's exit code carries the decision bit
-(0: consistent with the null, 1: rejected, >= 2: error) so batch pipelines
-can branch on it. Every command that samples honors --seed; when omitted, a
-fresh seed is drawn and echoed on stderr so the run can be reproduced.
-oracle enumerates exactly and ignores --seed.
+Estimation commands print a single JSON document on stdout and generate one
+line; nothing is echoed on stderr. The test command's exit code carries the
+decision bit (0: consistent with the null, 1: rejected, >= 2: error) so batch
+pipelines can branch on it. Every command that samples honors --seed; when
+omitted, a fresh seed is drawn and reported on stdout with the result, and a
+fault found after the draw ends its one stderr line with " (seed=N)". oracle
+enumerates exactly and takes no --seed. What the library takes, it checks
+and words, so a flag and a config field fail alike; the CLI checks only what
+the library never sees (a flag's syntax, the config file's shape and path).
 """
 
 from __future__ import annotations
@@ -30,17 +33,27 @@ class CliError(Exception):
 
 def _model_from_flags(name: str, m: int, a: float) -> ModelSpec:
     """The model the --m and --a flags give; only affine-pa reads --a."""
-    if name not in KINDS:
-        raise CliError(f"unknown model {name!r} (choose from {', '.join(KINDS)})")
     return ModelSpec(name, m=m, a=a if name == KIND_AFFINE else 0.0)
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbits(63)
-    print(f"seed={seed}", file=sys.stderr)
-    return seed
+    """--seed, or a fresh seed, which the result reports and main's error line names."""
+    if args.seed is None:
+        args.seed = secrets.randbits(63)
+        args.drawn = f" (seed={args.seed})"
+    return args.seed
+
+
+def _integers(text: str) -> list:
+    """A comma-separated flag's tokens, each as int() reads it or else as given, for the library to name."""
+    values = []
+    for tok in filter(None, text.split(",")):
+        try:
+            tok = int(tok)
+        except ValueError:
+            pass
+        values.append(tok)
+    return values
 
 
 def _alpha_mode(text: str):
@@ -128,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", help="comma-separated probe times for expected-s")
     p.add_argument("--width", type=int, help="window width for expected-s")
     p.add_argument("--m1", help="alternative model for dn")
-    p.add_argument("--seed", type=int)  # accepted for uniformity; enumeration is deterministic
 
     return parser
 
@@ -156,7 +168,9 @@ def _cmd_test(args) -> int:
         seed=seed,
     )
     report = test_dynamic_graph(traj, cfg)
-    print(report.to_json())
+    _emit({"S": report.S, "alpha": report.alpha, "decision": report.decision,
+           "M": report.probes.count, "C": report.probes.width, "radius_mean": report.radius_estimate,
+           "radius_std": report.radius_std, "seed": report.seed, "kept_fraction": report.kept_fraction})
     return report.decision
 
 
@@ -193,7 +207,7 @@ def _cmd_experiment(args) -> int:
     if args.m1:
         base["alt_model"] = harness.config_to_dict(_model_from_flags(args.m1, args.m, args.a))
     if args.n_values:
-        base["n_values"] = [int(tok) for tok in args.n_values.split(",") if tok]
+        base["n_values"] = _integers(args.n_values)
     if args.out:
         base["output_path"] = args.out
     tc = base.setdefault("test_config", {})
@@ -209,19 +223,14 @@ def _cmd_experiment(args) -> int:
         tc["seed"] = args.seed
     elif "seed" not in tc:
         tc["seed"] = _resolve_seed(args)
-    if "experiment" not in base:
-        raise CliError("no experiment selected (flag --experiment or config file)")
-    if "null_model" not in base:
-        raise CliError("no null model given (flag --m0 or config file)")
-    if "n_values" not in base:
-        raise CliError("no n values given (flag --n-values or config file)")
     cfg = harness.config_from_dict(harness.ExperimentConfig, base)
     if args.config and cfg.output_path:
         written = {os.path.realpath(p) for p in (cfg.output_path, harness.manifest_path(cfg.output_path))}
         if os.path.realpath(args.config) in written:
             raise CliError(f"the experiment would write over its config file {args.config}")
     result = harness.run_experiment(cfg)
-    _emit({"csv": result.csv_path, "manifest": result.manifest_path, "rows": len(result.table.rows)})
+    _emit({"csv": result.csv_path, "manifest": result.manifest_path, "rows": len(result.table.rows),
+           "seed": cfg.test_config.seed})
     return 0
 
 
@@ -241,7 +250,7 @@ def _cmd_oracle(args) -> int:
     if args.functional == oracle.FUNCTIONAL_EXPECTED_S:
         if not args.probes or args.width is None:
             raise CliError("expected-s needs --probes and --width")
-        probes = [int(tok) for tok in args.probes.split(",") if tok]
+        probes = _integers(args.probes)
         value = oracle.exact_expected_statistic(model, args.n, probes, args.width)
         _emit({"model": model.label, "n": args.n, "probes": probes, "width": args.width,
                "expected_s": str(value), "expected_s_float": float(value)})
@@ -271,7 +280,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, OSError, KeyError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{getattr(args, 'drawn', '')}", file=sys.stderr)
         return 2
 
 

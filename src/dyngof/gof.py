@@ -11,7 +11,6 @@ simulating the null) plus half the separation constant D.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -117,21 +116,6 @@ class TestReport:
     radius_std: float
     seed: int
     kept_fraction: float  # share of the M*C*m in-window choices the statistic kept
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "S": self.S,
-                "alpha": self.alpha,
-                "decision": self.decision,
-                "M": self.probes.count,
-                "C": self.probes.width,
-                "radius_mean": self.radius_estimate,
-                "radius_std": self.radius_std,
-                "seed": self.seed,
-                "kept_fraction": self.kept_fraction,
-            }
-        )
 
 
 def probe_sum(tvs: np.ndarray) -> np.ndarray:

@@ -293,7 +293,9 @@ def _parse_cell(cell: str):
 def read_csv(path: str) -> Table:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV file, expected a header row")
         rows = [[_parse_cell(cell) for cell in row] for row in reader]
     return Table(header, rows)
 

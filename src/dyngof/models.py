@@ -66,7 +66,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if _string("kind", self.kind) not in _AFFINE_RULE:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"unknown model {self.kind!r} (choose from {', '.join(KINDS)})")
         object.__setattr__(self, "m", _check_edges(self.m))
         object.__setattr__(self, "a", _real("a", self.a))
         if not 0 <= self.a < math.inf:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .models import KIND_PA, KIND_UNIFORM, ModelSpec
+from .rng import _integer
 
 MAX_ORACLE_N = 6
 
@@ -110,7 +111,7 @@ def exact_expected_statistic(
     if not probes:
         raise ValueError("need at least one probe")
     for r in probes:
-        if r < 2 or r + width > n + 1:
+        if _integer("probes", r) < 2 or r + width > n + 1:
             raise ValueError(f"probe {r} with width {width} does not fit in n={n}")
     if width < 1:
         raise ValueError("width must be positive")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from dyngof import cli, harness
+from dyngof.gof import FixedAlpha, TestConfig, test_dynamic_graph
 from dyngof.models import KINDS, affine_pref_attach, pref_attach, sample_trajectory, uniform_attach, write_trajectory
+from dyngof.sampling import empirical_measure
 
 
 def run_cli(*args, cwd=None):
@@ -52,9 +55,11 @@ class TestGenerate:
         assert "unknown model" in proc.stderr
 
     def test_missing_seed_is_echoed(self, tmp_path):
+        # With the result on stdout; nothing goes to stderr.
         proc = run_cli("generate", "--model", "pa", "--n", "5", "--out", str(tmp_path / "x"))
         assert proc.returncode == 0
-        assert "seed=" in proc.stderr
+        assert re.fullmatch(r"n=5 m=1 model=pa\(m=1\) seed=\d+ max_degree=\d+\n", proc.stdout)
+        assert proc.stderr == ""
 
 
 class TestTestCommand:
@@ -73,6 +78,24 @@ class TestTestCommand:
                              "radius_mean", "radius_std", "seed", "kept_fraction"]
         assert doc["decision"] == 0
         assert doc["alpha"] == doc["radius_mean"] + 25.0
+
+    def test_json_shape(self, tmp_path, capsys):
+        traj = sample_trajectory(pref_attach(), 100, seed=3)
+        write_trajectory(traj, str(tmp_path / "pa.traj"))
+        cfg = TestConfig(null_model=pref_attach(), D=1.0, alpha_mode=FixedAlpha(5.0), seed=21)
+        report = test_dynamic_graph(traj, cfg)
+        code = cli.main(["test", str(tmp_path / "pa.traj"), "--D", "1", "--alpha", "fixed:5", "--seed", "21"])
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [
+            "S", "alpha", "decision", "M", "C", "radius_mean", "radius_std", "seed", "kept_fraction",
+        ]
+        kept = sum(empirical_measure(traj, int(r), doc["C"]).denom for r in report.probes.points)
+        assert doc["kept_fraction"] == kept / (doc["M"] * doc["C"])
+        assert doc["M"] == cfg.probes_for(100)
+        assert doc["C"] == cfg.width_for(100)
+        assert doc["seed"] == 21
+        assert doc["decision"] in (0, 1)
+        assert code == doc["decision"] == report.decision and doc["S"] == report.S
 
     def test_alternative_rejected_with_tight_threshold(self, tmp_path):
         path = tmp_path / "uni.traj"
@@ -234,6 +257,7 @@ class TestExperimentCommand:
         assert doc["csv"] == str(out)
         assert out.exists() and (tmp_path / "scan.json").exists()
         assert doc["rows"] == 2
+        assert list(doc) == ["csv", "manifest", "rows", "seed"] and doc["seed"] == 9
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = {
@@ -254,6 +278,7 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((tmp_path / "conc.json").read_text())
         assert manifest["experiment_config"]["replications"] == 12
+        assert json.loads(proc.stdout)["seed"] == manifest["seed"] == 4
 
     def test_manifest_records_the_null_model_the_run_used(self, tmp_path):
         # The run tests against the top-level null model, whatever test_config names.
@@ -434,6 +459,7 @@ class TestExperimentCommand:
     def test_missing_experiment_is_error(self):
         proc = run_cli("experiment", "--m0", "pa", "--n-values", "50", "--seed", "1")
         assert proc.returncode == 2
+        assert proc.stderr == "error: missing field 'experiment' in experiment config\n"
 
     @pytest.mark.parametrize("config_name, out_flag, output_path", [
         ("run.json", "run.csv", None),
@@ -514,13 +540,36 @@ class TestExperimentCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("argv", [
-    "generate --model pa --n 50 --out {tmp}/x.traj",
-    "test {traj} --D 1",
-    "radius --model pa --n 50 --replications 2",
-    "distance --m0 pa --m1 uniform --n 50 --replications 2",
-    "experiment --experiment concentration --m0 pa --n-values 40 --replications 10 --out {tmp}/x.csv",
-], ids=["generate", "test", "radius", "distance", "experiment"])
+# A valid run of each command that samples, without its --seed; {traj} is a valid trajectory file.
+SAMPLING_ARGV = {
+    "generate": "generate --model pa --n 50 --out {tmp}/x.traj",
+    "test": "test {traj} --D 1",
+    "radius": "radius --model pa --n 50 --replications 2",
+    "distance": "distance --m0 pa --m1 uniform --n 50 --replications 2",
+    "experiment": "experiment --experiment concentration --m0 pa --n-values 40 --replications 10 --out {tmp}/x.csv",
+}
+
+
+@pytest.mark.parametrize("argv", SAMPLING_ARGV.values(), ids=SAMPLING_ARGV)
+def test_drawn_seed_is_reported_with_the_result_and_reproduces_it(argv, tmp_path, capsys):
+    traj = tmp_path / "pa.traj"
+    write_trajectory(sample_trajectory(pref_attach(), 300, 11), str(traj))
+    argv = argv.format(traj=traj, tmp=tmp_path).split()
+    code = cli.main(argv)
+    assert code < 2
+    first = capsys.readouterr()
+    assert first.err == ""
+    if argv[0] == "generate":
+        seed = int(re.search(r" seed=(\d+) ", first.out).group(1))
+    else:
+        seed = json.loads(first.out)["seed"]
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main([*argv, "--seed", str(seed)]) == code
+    assert capsys.readouterr() == (first.out, "")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+@pytest.mark.parametrize("argv", SAMPLING_ARGV.values(), ids=SAMPLING_ARGV)
 def test_negative_seed_flag_is_named(argv, tmp_path, capsys):
     traj = tmp_path / "pa.traj"
     write_trajectory(sample_trajectory(pref_attach(), 300, 11), str(traj))
@@ -541,10 +590,17 @@ def test_model_flags_give_the_constructors_model(name, model):
     assert name in KINDS
 
 
-def test_unknown_model_lists_every_kind(capsys):
+def test_unknown_model_lists_every_kind(capsys, tmp_path):
+    message = f"error: unknown model 'zork' (choose from {', '.join(KINDS)})\n"
     assert cli.main(["radius", "--model", "zork", "--n", "50", "--seed", "1"]) == 2
-    assert capsys.readouterr().err == f"error: unknown model 'zork' (choose from {', '.join(KINDS)})\n"
+    assert capsys.readouterr().err == message
     assert KINDS == ("pa", "uniform", "affine-pa")
+    # ModelSpec has the one check, so a config file's kind is named alike.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "concentration", "null_model": {"kind": "zork"},
+                                    "n_values": [40], "replications": 10, "test_config": {"seed": 4}}))
+    assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 # Each argv passes argparse and fails in the command; {traj} is a valid trajectory file.
@@ -588,25 +644,62 @@ BAD_ARGV = [
     "experiment --experiment concentration --m0 pa --n-values 40,30 --seed 1 --out {out}",
     "experiment --config {tmp}/missing.json --seed 1 --out {out}",
     "experiment --experiment concentration --m0 pa --n-values 40 --replications 10 --seed 1 --out {tmp}/x.json",
+    "experiment --m0 pa --n-values 40 --seed 1 --out {out}",
+    "experiment --experiment concentration --n-values 40 --seed 1 --out {out}",
+    "experiment --experiment concentration --m0 pa --seed 1 --out {out}",
 ]
 
+# The whole error line of some BAD_ARGV entries: the library's message, as a config file's input gets it.
+BAD_ARGV_MESSAGES = {
+    "generate --model zork --n 5 --seed 1 --out {out}": f"unknown model 'zork' (choose from {', '.join(KINDS)})",
+    "oracle --n 4 --functional expected-s --probes x --width 2": "probes: expected an integer, got 'x'",
+    "experiment --experiment concentration --m0 pa --n-values x --seed 1 --out {out}":
+        "n_values: expected an integer, got 'x'",
+    "experiment --m0 pa --n-values 40 --seed 1 --out {out}": "missing field 'experiment' in experiment config",
+    "experiment --experiment concentration --n-values 40 --seed 1 --out {out}":
+        "missing field 'null_model' in experiment config",
+    "experiment --experiment concentration --m0 pa --seed 1 --out {out}":
+        "missing field 'n_values' in experiment config",
+}
 
-@pytest.mark.parametrize("argv", BAD_ARGV)
-def test_bad_argv_is_one_line_usage_error(argv, tmp_path, capsys):
+
+def _run_bad_argv(argv, tmp_path, capsys) -> str:
+    """argv's one error line; the run must exit 2, print nothing on stdout and write no file."""
     traj = tmp_path / "pa.traj"
-    write_trajectory(sample_trajectory(pref_attach(), 300, 11), str(traj))
-    out = tmp_path / "x.csv"
-    assert cli.main(argv.format(traj=traj, out=out, tmp=tmp_path).split()) == 2
+    if not traj.exists():
+        write_trajectory(sample_trajectory(pref_attach(), 300, 11), str(traj))
+    assert cli.main(argv.format(traj=traj, out=tmp_path / "x.csv", tmp=tmp_path).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pa.traj"]
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV)
+def test_bad_argv_is_one_line_usage_error(argv, tmp_path, capsys):
+    err = _run_bad_argv(argv, tmp_path, capsys)
+    if argv in BAD_ARGV_MESSAGES:
+        assert err == f"error: {BAD_ARGV_MESSAGES[argv]}\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv in BAD_ARGV if " --seed " in argv])
+def test_bad_argv_without_its_seed_adds_at_most_the_drawn_seed(argv, tmp_path, capsys):
+    # A fault found after the seed is drawn names that seed at the end of the one error line.
+    seeded = _run_bad_argv(argv, tmp_path, capsys)
+    seedless = _run_bad_argv(re.sub(r" --seed \d+", "", argv), tmp_path, capsys)
+    assert re.fullmatch(re.escape(seeded[:-1]) + r"( \(seed=\d+\))?\n", seedless)
 
 
 class TestUsage:
     def test_unknown_flag_rejected(self):
         proc = run_cli("radius", "--model", "pa", "--n", "40", "--frobnicate", "1")
         assert proc.returncode == 2
+
+    def test_oracle_takes_no_seed(self):
+        proc = run_cli("oracle", "--n", "3", "--functional", "traj-probs", "--seed", "1")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --seed 1" in proc.stderr
 
     def test_unknown_subcommand_rejected(self):
         proc = run_cli("transmogrify")

@@ -576,6 +576,25 @@ class TestCsvPersistence:
         write_csv(str(path), table)
         assert read_csv(str(path)) == table
 
+    def test_empty_file_is_named(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty CSV file, expected a header row$"):
+            read_csv(str(path))
+
+    def test_default_output_is_timestamped(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(EXPERIMENT_CONCENTRATION, n_values=(40,), replications=10, alt=None,
+                          alpha_mode=SampledAlpha(2))
+        assert cfg.output_path == "" and cfg.alt_model is None
+        result = run_experiment(cfg)
+        stamp = r"\d{8}T\d{6}Z"
+        assert re.fullmatch(rf"concentration_{re.escape(cfg.null_model.label)}_none_{stamp}\.csv", result.csv_path)
+        assert result.manifest_path == result.csv_path[:-len(".csv")] + ".json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([result.csv_path, result.manifest_path])
+        assert read_csv(result.csv_path) == result.table
+        assert json.loads((tmp_path / result.manifest_path).read_text())["csv"] == result.csv_path
+
     def test_experiment_artifacts(self, tmp_path):
         cfg = base_config(
             EXPERIMENT_CONCENTRATION, n_values=(40, 60), replications=10,
